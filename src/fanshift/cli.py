@@ -6,7 +6,8 @@ Usage:
     fanshift schema
 
 Exit codes: 0 when a command (and its check) succeeds, 1 when a
-verification fails, 2 on usage errors.  Reports are deterministic for a
+verification fails, 2 on usage errors, including invalid parameter values
+and unreadable config files.  Reports are deterministic for a
 fixed seed; wall-clock timings are only included with --timings since they
 break byte-for-byte reproducibility.  Parameter precedence is flags over
 config file (plain key=value lines, --config) over defaults; the seed can
@@ -159,6 +160,8 @@ def _run_diam(p: Params):
 def _run_cantor(p: Params):
     kmax = p.get("kmax", int)
     depth = p.get("depth", int)
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     witnesses = []
     min_branch = 3
     words = 0
@@ -370,32 +373,31 @@ def main(argv=None) -> int:
         sys.stdout.write(schema_text())
         return 0
 
-    if args.command == "render":
+    # invalid parameter values and unreadable config files are usage errors
+    try:
         p = Params(args)
-        a = AParam.parse(args.a) if args.a else None
-        try:
-            svg = render_figure(
-                args.figure, depth=args.depth, seed=p.seed(), a=a
-            )
-        except ValueError as exc:
-            parser.error(str(exc))  # exits 2
+        seed = p.seed()
+        if args.command == "render":
+            a = AParam.parse(args.a) if args.a else None
+            svg = render_figure(args.figure, depth=args.depth, seed=seed, a=a)
+        else:
+            started = time.perf_counter()
+            try:
+                passed, witnesses, extra, params = _RUNNERS[args.name](p)
+            except FanshiftError as exc:
+                passed = False
+                witnesses = [{"error": type(exc).__name__, "message": str(exc)}]
+                extra = {}
+                params = {}
+            elapsed = time.perf_counter() - started
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))  # exits 2
+
+    if args.command == "render":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
         return 0
-
-    # verify
-    p = Params(args)
-    runner = _RUNNERS[args.name]
-    started = time.perf_counter()
-    try:
-        passed, witnesses, extra, params = runner(p)
-    except FanshiftError as exc:
-        passed = False
-        witnesses = [{"error": type(exc).__name__, "message": str(exc)}]
-        extra = {}
-        params = {}
-    elapsed = time.perf_counter() - started
-    params["seed"] = p.seed()
+    params["seed"] = seed
     timings = {"wall_s": round(elapsed, 3)} if args.timings else {}
     report = make_report(args.name, params, passed, witnesses, timings, extra)
     text = dump_report(report)

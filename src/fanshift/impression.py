@@ -163,6 +163,8 @@ def symbolic_family(
 
 def default_k_cut(eps: float) -> int:
     """Interval cutoff so one net point at infinity covers the deep tail."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     return max(8, math.ceil(-math.log(eps, 4.0)) + 1)
 
 

@@ -15,8 +15,9 @@ the objects whose counting invariant is computed in ``invariants``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Callable
 
@@ -60,7 +61,7 @@ class CPoint:
                 raise ValueError(f"height {self.t!r} outside [0, 1]")
             object.__setattr__(self, "t", min(1.0, max(0.0, self.t)))
 
-    @property
+    @cached_property
     def c(self) -> float:
         return address_value(self.address)
 
@@ -84,6 +85,50 @@ def phi_inverse(p: CPoint) -> CPoint:
 def cpoint_dist(p: CPoint, q: CPoint) -> float:
     """Product max-metric."""
     return max(abs(p.c - q.c), abs(p.t - q.t))
+
+
+def _cover_gap(targets, cloud) -> float:
+    """Max over targets of the max-metric distance to the nearest cloud point.
+
+    Exact sorted sweep: each target bisects into the cloud sorted by first
+    coordinate and walks outward until that gap alone reaches the best
+    distance so far, so the result equals the brute-force max of mins.
+    """
+    if not targets or not cloud:
+        raise ValueError("a cover gap needs nonempty targets and a nonempty cloud")
+    pts = sorted(cloud)
+    xs = [x for x, _ in pts]
+    gap = 0.0
+    for tx, ty in targets:
+        best = math.inf
+        i = bisect_left(xs, tx)
+        for side in (range(i, len(pts)), range(i - 1, -1, -1)):
+            for j in side:
+                x, y = pts[j]
+                dx = abs(x - tx)
+                if dx >= best:
+                    break
+                best = min(best, max(dx, abs(y - ty)))
+        gap = max(gap, best)
+    return gap
+
+
+def _collisions(points, eps: float):
+    """Yield every index pair (i, j) of points closer than eps in the max-metric.
+
+    Exact sorted sweep: each point meets its successors in sorted order until
+    their first-coordinate gap reaches eps; i precedes j in that order.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    for a, i in enumerate(order):
+        xi, yi = points[i]
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            xj, yj = points[j]
+            if xj - xi >= eps:
+                break
+            if abs(yj - yi) < eps:
+                yield i, j
 
 
 def identity_map(p: CPoint) -> CPoint:
@@ -202,7 +247,9 @@ def check_hlavna(
 
     Surjectivity is a cover check: wedge samples must lie within surj_eps
     of the image of the sampled product.  Injectivity fails on a collision
-    between images of samples separated by at least separation_eps.  Vertex
+    between images of samples separated by more than separation_eps.  Both
+    are exact sorted sweeps over all N samples, not windows: O(N log N) plus
+    the pairs that first coordinates alone do not separate.  Vertex
     continuity follows a sequence of columns shrinking to the vertex and
     requires the image norms to shrink below vertex_eps.
     """
@@ -215,32 +262,19 @@ def check_hlavna(
             witness={"address": w.address, "t": w.t} if w is not None else None,
         )
 
-    samples = _sample_points(depth, t_cells)
-    wedge_targets = [phi(p) for p in samples]
-    images = [f_R(q) for q in wedge_targets]
-
-    gap = 0.0
-    for tgt in wedge_targets:
-        best = min(cpoint_dist(tgt, img) for img in images)
-        if best > gap:
-            gap = best
+    wedge_targets = [phi(p) for p in _sample_points(depth, t_cells)]
+    images = [(q.c, q.t) for q in map(f_R, wedge_targets)]
+    gap = _cover_gap([(q.c, q.t) for q in wedge_targets], images)
     surj_ok = gap <= surj_eps
 
-    inj_ok = True
     witness = None
-    indexed = sorted(zip(images, wedge_targets), key=lambda it: (it[0].c, it[0].t))
-    for i, (img_a, src_a) in enumerate(indexed):
-        for img_b, src_b in indexed[i + 1 : i + 40]:
-            if cpoint_dist(img_a, img_b) < collision_eps:
-                if cpoint_dist(src_a, src_b) > separation_eps:
-                    inj_ok = False
-                    witness = {
-                        "a": {"address": src_a.address, "t": src_a.t},
-                        "b": {"address": src_b.address, "t": src_b.t},
-                    }
-                    break
-        if not inj_ok:
+    for i, j in _collisions(images, collision_eps):
+        a, b = wedge_targets[i], wedge_targets[j]
+        if cpoint_dist(a, b) > separation_eps:
+            witness = {"a": {"address": a.address, "t": a.t},
+                       "b": {"address": b.address, "t": b.t}}
             break
+    inj_ok = witness is None
 
     tail = 0.0
     prev = math.inf
@@ -276,19 +310,14 @@ def density_transfer_report(
     """Check that compression carries an eps-dense visit log to a 2*eps one.
 
     The compression is 2-Lipschitz in the product max-metric, so density
-    degrades by at most that factor; both sides are measured explicitly.
+    degrades by at most that factor; both sides are measured explicitly, as
+    exact sorted-sweep cover gaps: O((M + N) log N) plus the pairs that first
+    coordinates alone do not separate.  Empty point lists raise ValueError.
     """
-
-    def pair_dist(a, b):
-        return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-    def cover_gap(targets, cloud):
-        return max(min(pair_dist(t, p) for p in cloud) for t in targets)
-
-    gap_before = cover_gap(net_points, orbit_points)
-    image_cloud = [phi_pair(p) for p in orbit_points]
-    image_targets = [phi_pair(p) for p in net_points]
-    gap_after = cover_gap(image_targets, image_cloud)
+    gap_before = _cover_gap(net_points, orbit_points)
+    gap_after = _cover_gap(
+        [phi_pair(p) for p in net_points], [phi_pair(p) for p in orbit_points]
+    )
     return {
         "gap_before": gap_before,
         "gap_after": gap_after,
@@ -307,30 +336,28 @@ def check_conjugated_shift(
     """Sampled homeomorphism evidence for the shift seen in model coordinates.
 
     Injectivity: model images of shifted samples must not collide when the
-    samples' model points differ.  Surjectivity: every sample exhibits an
-    explicit preimage via the inverse shift.  Continuity at the
-    compactification point: shifted diagonal points of deep intervals must
-    have model coordinates tending to (1, 0).
+    samples' model points differ; an exact sorted sweep finds every close
+    image pair in O(N log N) plus the pairs that first coordinates alone do
+    not separate.  Surjectivity: every sample exhibits an explicit preimage
+    via the inverse shift.  Continuity at the compactification point:
+    shifted diagonal points of deep intervals must have model coordinates
+    tending to (1, 0).  Fewer than two samples raise ValueError.
     """
     from .mahavier import model_map, shift, unshift
 
-    imgs = []
-    srcs = []
-    for p in samples:
-        srcs.append(model_map(p, depth))
-        imgs.append(model_map(shift(p), depth))
-    inj_ok = True
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            di = max(abs(imgs[i][0] - imgs[j][0]), abs(imgs[i][1] - imgs[j][1]))
-            ds = max(abs(srcs[i][0] - srcs[j][0]), abs(srcs[i][1] - srcs[j][1]))
-            if di < collision_eps and ds > 10 * collision_eps:
-                inj_ok = False
+    if len(samples) < 2:
+        raise ValueError("the conjugated-shift check needs at least 2 samples")
+    srcs = [model_map(p, depth) for p in samples]
+    imgs = [model_map(shift(p), depth) for p in samples]
+    inj_ok = not any(
+        max(abs(srcs[i][0] - srcs[j][0]), abs(srcs[i][1] - srcs[j][1]))
+        > 10 * collision_eps
+        for i, j in _collisions(imgs, collision_eps)
+    )
 
     surj_gap = 0.0
-    for p in samples:
+    for p, src in zip(samples, srcs):
         back = model_map(shift(unshift(p)), depth)
-        src = model_map(p, depth)
         surj_gap = max(
             surj_gap, abs(back[0] - src[0]), abs(back[1] - src[1])
         )

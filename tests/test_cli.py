@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -87,6 +89,44 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc2:
         main(["render", "fig9", "--out", "/tmp/x.svg"])
     assert exc2.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "quotient", "--a", "1,5"],
+        ["verify", "juma", "--depth", "0"],
+        ["verify", "orbit", "--window", "0"],
+        ["verify", "decomposition", "--config", "{bad_config}"],
+        ["verify", "decomposition", "--config", "{missing_config}"],
+        ["verify", "impression", "--eps", "0"],
+        ["verify", "impression", "--seed-t", "1.5"],
+        ["verify", "cantor", "--kmax", "0"],
+        ["render", "glue", "--out", "{svg}", "--a", "1,5"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_text("kmax=abc\n")
+    paths = {
+        "bad_config": bad,
+        "missing_config": tmp_path / "missing.conf",
+        "svg": tmp_path / "g.svg",
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_verify_hlavna_matches_recorded_digest(tmp_path):
+    expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
+    digest = json.loads(expected.read_text(encoding="utf-8"))["digests"]["verify-hlavna"]
+    report = tmp_path / "hlavna.json"
+    assert main(["verify", "hlavna", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fanshift.errors import (
     HypothesisViolated,
@@ -26,10 +27,13 @@ from fanshift.quotients import (
     FanModel,
     Gluing,
     Leg,
+    _collisions,
+    _cover_gap,
     build_fan,
     check_conjugated_shift,
     check_hlavna,
     check_invariance,
+    cpoint_dist,
     density_transfer_report,
     descend,
     glued_pair,
@@ -59,6 +63,11 @@ def test_cpoint_canonicalizes_address():
     assert CPoint("", 0.25).c == 0.0
     with pytest.raises(ValueError):
         CPoint("21", 0.5)
+    # the cached address value stays out of equality, hashing and repr
+    p = CPoint("202", 0.5)
+    assert p.c == CPoint("202", 0.5).c
+    assert p == CPoint("202", 0.5) and hash(p) == hash(CPoint("202", 0.5))
+    assert repr(p) == "CPoint(address='202', t=0.5)"
 
 
 def test_phi_examples():
@@ -140,6 +149,22 @@ def test_check_hlavna_rejects_violator_with_witness():
     assert rep.witness is not None
 
 
+def test_check_hlavna_rejects_non_injective_map():
+    # respects the invariance hypotheses but flattens every column to t = 0
+    def flatten(p):
+        return CPoint(p.address, 0.0)
+
+    rep = check_hlavna(flatten, name="flatten")
+    assert rep.hypothesis_ok and not rep.passed
+    assert rep.injectivity_ok is False
+    assert rep.surjectivity_ok is False
+    assert rep.surjectivity_gap == 0.9986282578875171
+    a, b = (CPoint(rep.witness[key]["address"], rep.witness[key]["t"]) for key in "ab")
+    f_R = lift_f_R(flatten)
+    assert cpoint_dist(a, b) > 1e-6
+    assert cpoint_dist(f_R(a), f_R(b)) < 1e-9
+
+
 def test_conjugated_shift_sampler():
     r = rng(3)
     samples = []
@@ -158,6 +183,59 @@ def test_density_transfer():
     assert rep["gap_after"] <= 2 * rep["eps"]
     sparse = density_transfer_report([(0.0, 0.0)], [(1.0, 1.0)], 1 / 16)
     assert not sparse["passed"]
+
+
+def test_samplers_reject_empty_input():
+    with pytest.raises(ValueError):
+        density_transfer_report([], [(0.5, 0.5)], 1 / 16)
+    with pytest.raises(ValueError):
+        density_transfer_report([(0.5, 0.5)], [], 1 / 16)
+    r = rng(11)
+    one = [MPoint(random_word(r, 2, left=6, right=6), XPoint(2, 0.5))]
+    for samples in ([], one):
+        with pytest.raises(ValueError):
+            check_conjugated_shift(samples)
+
+
+# --- the sorted sweeps against brute force -----------------------------------
+
+EPS = 1e-9
+_UNDER = math.nextafter(EPS, 0.0)
+# shared grid values give ties in the first coordinate and duplicate points
+_coord = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0))
+_offset = st.sampled_from([0.0, EPS / 2, _UNDER, -_UNDER, EPS, -EPS])
+
+
+@st.composite
+def _clouds(draw):
+    """1-30 points, plus copies moved by offsets at and just under EPS."""
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30))
+    for x, y in draw(st.lists(st.sampled_from(pts), max_size=10)):
+        pts.append((x + draw(_offset), y + draw(_offset)))
+    return draw(st.permutations(pts))
+
+
+def _max_metric(p, q):
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+
+@given(_clouds(), _clouds())
+def test_cover_gap_equals_brute_force(targets, cloud):
+    brute = max(min(_max_metric(t, p) for p in cloud) for t in targets)
+    assert _cover_gap(targets, cloud) == brute
+
+
+@given(_clouds())
+def test_collision_sweep_finds_all_pairs(pts):
+    found = [tuple(sorted(pair)) for pair in _collisions(pts, EPS)]
+    brute = {
+        (i, j)
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if _max_metric(pts[i], pts[j]) < EPS
+    }
+    assert len(found) == len(set(found))
+    assert set(found) == brute
 
 
 # --- gluing parameters and the equivalence ---------------------------------
