@@ -6,9 +6,9 @@ Usage:
     fanshift schema
 
 Exit codes: 0 when a command (and its check) succeeds, 1 when a
-verification fails, 2 on usage errors, including invalid parameter values
-and unreadable config files.  Reports are deterministic for a
-fixed seed; wall-clock timings are only included with --timings since they
+verification fails, 2 on usage errors, including invalid parameter values,
+unreadable config files and unwritable output paths.  Reports are
+deterministic for a fixed seed; wall-clock timings are only included with --timings since they
 break byte-for-byte reproducibility.  Parameter precedence is flags over
 config file (plain key=value lines, --config) over defaults; the seed can
 also come from the FANSHIFT_SEED environment variable.
@@ -63,6 +63,14 @@ _DEFAULTS = {
 }
 
 
+def _cast(key: str, cast, raw: str):
+    """Convert a config or environment value, naming its key if invalid."""
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -90,7 +98,7 @@ class Params:
             return flag
         if name in self._config:
             raw = self._config[name]
-            return cast(raw) if cast else raw
+            return _cast(name, cast, raw) if cast else raw
         if default is not None:
             return default
         return _DEFAULTS.get(name)
@@ -100,10 +108,10 @@ class Params:
         if flag is not None:
             return flag
         if "seed" in self._config:
-            return int(self._config["seed"])
+            return _cast("seed", int, self._config["seed"])
         env = os.environ.get("FANSHIFT_SEED")
         if env is not None:
-            return int(env)
+            return _cast("FANSHIFT_SEED", int, env)
         return _DEFAULTS["seed"]
 
 
@@ -365,6 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(parser: argparse.ArgumentParser, path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(str(exc))  # exits 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -394,16 +411,14 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits 2
 
     if args.command == "render":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write(parser, args.out, svg)
         return 0
     params["seed"] = seed
     timings = {"wall_s": round(elapsed, 3)} if args.timings else {}
     report = make_report(args.name, params, passed, witnesses, timings, extra)
     text = dump_report(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(parser, args.report, text)
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

@@ -11,6 +11,7 @@ pass near every cell of a window-space net.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,19 +312,45 @@ _EXPONENTS: list[tuple[float, int, int]] = sorted(
 
 
 def _steer_candidates(u_cur: float, v_target: float, tries: int):
-    """Exponent pairs (m, n) ranked by |u_cur^(2^m/3^n) - v_target|.
+    """Yield up to ``tries`` exponent pairs (m, n) in the order of
+    (|u_cur^(2^m/3^n) - v_target|, m + n, m, n).
 
-    Degenerate powers that round to 0 or 1 are discarded so the orbit stays
-    strictly inside the fiber and later connectors can keep steering.
+    Powers within INTERIOR_GUARD of 0 or 1 are skipped so the orbit stays
+    strictly inside the fiber and later connectors can keep steering.  For
+    0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_EXPONENTS``,
+    so bisection finds both guard limits and the crossing of v_target; the
+    distance grows walking outward from the crossing on either side, and
+    each run of equal distances is yielded in (m + n, m, n) order.
     """
-    ranked = []
-    for e, m, n in _EXPONENTS:
-        v = u_cur**e
-        if v <= INTERIOR_GUARD or v >= 1.0 - INTERIOR_GUARD:
-            continue
-        ranked.append((abs(v - v_target), m + n, m, n))
-    ranked.sort()
-    return [(m, n) for _, _, m, n in ranked[:tries]]
+
+    def neg_power(entry: tuple[float, int, int]) -> float:
+        return -(u_cur ** entry[0])
+
+    lo = bisect.bisect_right(_EXPONENTS, -(1.0 - INTERIOR_GUARD), key=neg_power)
+    hi = bisect.bisect_left(_EXPONENTS, -INTERIOR_GUARD, lo, key=neg_power)
+    mid = bisect.bisect_left(_EXPONENTS, -v_target, lo, hi, key=neg_power)
+
+    def gap(i: int) -> float:
+        if lo <= i < hi:
+            return abs(u_cur ** _EXPONENTS[i][0] - v_target)
+        return math.inf
+
+    left, right = mid - 1, mid
+    d_left, d_right = gap(left), gap(right)
+    while tries > 0 and min(d_left, d_right) < math.inf:
+        d = min(d_left, d_right)
+        run = []
+        while d_left == d:
+            run.append(_EXPONENTS[left][1:])
+            left -= 1
+            d_left = gap(left)
+        while d_right == d:
+            run.append(_EXPONENTS[right][1:])
+            right += 1
+            d_right = gap(right)
+        run.sort(key=lambda mn: (mn[0] + mn[1], mn))
+        yield from run[:tries]
+        tries -= len(run)
 
 
 def transitive_orbit_builder(

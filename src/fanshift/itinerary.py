@@ -45,15 +45,21 @@ class Letter:
         return self.ell + self.j - 2
 
     def piece(self) -> PieceMap:
-        if self.j == 1:
-            return PieceMap.down(self.ell)
-        if self.j == 3:
-            return PieceMap.up(self.ell)
-        if self.ell == 1:
-            return PieceMap.cube_root()
-        if self.ell == 2:
-            return PieceMap.square()
-        return PieceMap.ident(self.ell)
+        return _piece(self.ell, self.j)
+
+
+@lru_cache(maxsize=None)
+def _piece(ell: int, j: int) -> PieceMap:
+    """The one shared (immutable) piece of the letter (ell, j)."""
+    if j == 1:
+        return PieceMap.down(ell)
+    if j == 3:
+        return PieceMap.up(ell)
+    if ell == 1:
+        return PieceMap.cube_root()
+    if ell == 2:
+        return PieceMap.square()
+    return PieceMap.ident(ell)
 
 
 @lru_cache(maxsize=None)

@@ -121,11 +121,48 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, needle",
+    [
+        (["verify", "quotient", "--report", "{nodir}/r.json"], None, "{nodir}/r.json"),
+        (["render", "fig1", "--out", "{nodir}/r.svg"], None, "{nodir}/r.svg"),
+        (["verify", "cantor", "--config", "{kmax_conf}"], None, "kmax: invalid literal"),
+        (["verify", "quotient", "--config", "{seed_conf}"], None, "seed: invalid literal"),
+        (["verify", "quotient"], "abc", "FANSHIFT_SEED: invalid literal"),
+    ],
+    ids=["report-path", "svg-path", "config-kmax", "config-seed", "env-seed"],
+)
+def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):
+    paths = {
+        "nodir": tmp_path / "missing",
+        "kmax_conf": tmp_path / "kmax.conf",
+        "seed_conf": tmp_path / "seed.conf",
+    }
+    paths["kmax_conf"].write_text("kmax=abc\n")
+    paths["seed_conf"].write_text("seed=x\n")
+    if env is not None:
+        monkeypatch.setenv("FANSHIFT_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert needle.format(**paths) in err and "Traceback" not in err
+
+
 def test_verify_hlavna_matches_recorded_digest(tmp_path):
     expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
     digest = json.loads(expected.read_text(encoding="utf-8"))["digests"]["verify-hlavna"]
     report = tmp_path / "hlavna.json"
     assert main(["verify", "hlavna", "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+
+def test_verify_orbit_matches_recorded_digest(tmp_path):
+    expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
+    digest = json.loads(expected.read_text(encoding="utf-8"))["digests"]["verify-orbit"]
+    report = tmp_path / "orbit.json"
+    assert main(["verify", "orbit", "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 

@@ -2,9 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fanshift.errors import PathNotFound
 from fanshift.impression import (
+    INTERIOR_GUARD,
+    _EXPONENTS,
+    _steer_candidates,
     apply_path,
     build_net,
     default_k_cut,
@@ -18,7 +22,7 @@ from fanshift.impression import (
     witness_path,
 )
 from fanshift.itinerary import is_admissible
-from fanshift.mahavier import MPoint, WindowConfig, coords, dist_window
+from fanshift.mahavier import MPoint, WindowConfig, coord_range, dist_window
 from fanshift.relations import h_image, in_H
 from fanshift.xspace import INFINITY, XPoint, dist, embed
 
@@ -160,8 +164,10 @@ def test_orbit_consecutive_pairs_admissible():
     cfg = WindowConfig(1)
     res = transitive_orbit_builder(0.25, cfg, u_cells=4)
     p = res.point
-    for j in range(p.lo, p.hi + 1):
-        assert in_H(coords(p, j), coords(p, j + 1))
+    trace = coord_range(p, p.lo, p.hi + 1)
+    assert len(trace) == len(p.word.letters) + 1
+    for x, y in zip(trace, trace[1:]):
+        assert in_H(x, y)
 
 
 def test_orbit_visits_match_shifted_windows():
@@ -185,3 +191,101 @@ def test_orbit_unreachable_raises():
     net = build_net(0.25, cfg, k_cut=1, u_cells=2)[:3]
     with pytest.raises(PathNotFound):
         transitive_orbit_builder(1e-9, cfg, net=net, tries=5)
+
+
+# ---------------------------------------------------------------------------
+# Steering: the lazy walk against a brute-force ranking of the whole lattice
+# ---------------------------------------------------------------------------
+
+
+def _ranked_reference(u_cur, v_target, tries):
+    ranked = []
+    for e, m, n in _EXPONENTS:
+        v = u_cur**e
+        if INTERIOR_GUARD < v < 1.0 - INTERIOR_GUARD:
+            ranked.append((abs(v - v_target), m + n, m, n))
+    ranked.sort()
+    return [(m, n) for _, _, m, n in ranked[:tries]]
+
+
+# u = 1 - INTERIOR_GUARD and u = INTERIOR_GUARD put the power at e = 1 exactly
+# on a guard limit; the powers of 1 - 2^-52 and 1 - 2^-53 pile up in the
+# upper guard band
+_EDGE_U = (
+    2.0**-20,
+    1.0 - 2.0**-20,
+    1.0 - 2.0**-52,
+    1.0 - 2.0**-53,
+    1.0 - INTERIOR_GUARD,
+    INTERIOR_GUARD,
+    1e-300,
+)
+_EDGE_V = (0.0, 1.0, 0.5, INTERIOR_GUARD, 1.0 - INTERIOR_GUARD)
+
+_units = st.one_of(
+    st.sampled_from(_EDGE_U),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+_targets = st.one_of(
+    st.sampled_from(_EDGE_V),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, INTERIOR_GUARD),
+    st.floats(1.0 - INTERIOR_GUARD, 1.0),
+)
+_tries = st.one_of(st.sampled_from((1, 600)), st.integers(1, len(_EXPONENTS)))
+
+
+@pytest.mark.parametrize("u_cur", _EDGE_U)
+@pytest.mark.parametrize("v_target", _EDGE_V)
+@pytest.mark.parametrize("tries", (1, 600))
+def test_steer_candidates_edge_cases(u_cur, v_target, tries):
+    got = list(_steer_candidates(u_cur, v_target, tries))
+    assert got == _ranked_reference(u_cur, v_target, tries)
+    assert len(got) == tries
+
+
+def test_steer_candidates_sort_equal_distances():
+    # v_target halfway between two adjacent powers: both are nearest, and
+    # the smaller m + n comes first although its power lies below v_target
+    a = 0.5 ** (2.0**46 / 3.0**58)
+    b = 0.5 ** (2.0**27 / 3.0**46)
+    v = (a + b) / 2
+    assert a - v == v - b > 0
+    got = list(_steer_candidates(0.5, v, 2))
+    assert got == [(27, 46), (46, 58)] == _ranked_reference(0.5, v, 2)
+
+
+@given(_units, _targets, _tries)
+@settings(max_examples=150, deadline=None)
+def test_steer_candidates_equal_full_ranking(u_cur, v_target, tries):
+    assert list(_steer_candidates(u_cur, v_target, tries)) == _ranked_reference(
+        u_cur, v_target, tries
+    )
+
+
+@given(_units, st.integers(0, len(_EXPONENTS)), st.sampled_from((2, 600)))
+@settings(max_examples=100, deadline=None)
+def test_steer_candidates_equal_full_ranking_at_ties(u_cur, pick, tries):
+    # halfway between two adjacent interior powers their distances tie
+    powers = sorted(
+        {
+            v
+            for v in (u_cur**e for e, _, _ in _EXPONENTS)
+            if INTERIOR_GUARD < v < 1.0 - INTERIOR_GUARD
+        }
+    )
+    assume(len(powers) >= 2)
+    i = pick % (len(powers) - 1)
+    v_target = (powers[i] + powers[i + 1]) / 2
+    assume(powers[i + 1] - v_target == v_target - powers[i])
+    assert list(_steer_candidates(u_cur, v_target, tries)) == _ranked_reference(
+        u_cur, v_target, tries
+    )
+
+
+@given(_units)
+@settings(max_examples=100, deadline=None)
+def test_powers_do_not_increase_along_exponents(u_cur):
+    # the monotonicity the bisections in _steer_candidates rely on
+    powers = [u_cur**e for e, _, _ in _EXPONENTS]
+    assert all(a >= b for a, b in zip(powers, powers[1:]))

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import RangeError, WindowExhausted
 from fanshift.itinerary import Letter, Word, letters_with_domain, random_word
@@ -8,6 +9,7 @@ from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
+    coord_range,
     coords,
     diagonal_point,
     dist_window,
@@ -35,6 +37,15 @@ def test_diagonal_point_coords_constant():
     p = diagonal_point(3, 0.4, 4)
     for j in range(-4, 5):
         assert coords(p, j) == XPoint(3, 0.4)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_coords_match_coord_range(seed, k, half_width):
+    p = random_window_point(rng(seed), k, half_width)
+    trace = coord_range(p, p.lo, p.hi + 1)
+    for j in range(p.lo, p.hi + 2):
+        assert coords(p, j) == trace[j - p.lo]
 
 
 def test_cube_root_window_coords():
