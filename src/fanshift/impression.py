@@ -164,8 +164,8 @@ def symbolic_family(
 
 def default_k_cut(eps: float) -> int:
     """Interval cutoff so one net point at infinity covers the deep tail."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return max(8, math.ceil(-math.log(eps, 4.0)) + 1)
 
 
@@ -373,6 +373,8 @@ def transitive_orbit_builder(
     recorded; if no lattice candidate lands within eps the construction
     aborts instead of guessing.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     n = cfg.half_width
     if net is None:
         net = build_net(eps, cfg, k_cut=k_cut, u_cells=u_cells)

@@ -105,6 +105,8 @@ def distinguish(
     an accumulation count to one profile that the other cannot realize:
     block k counts land in {2k, 2k+1}, so blocks never collide.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     ta, tb = a.truncate(kmax), b.truncate(kmax)
     if ta.coords == tb.coords:
         raise NotDistinguished(
@@ -128,19 +130,6 @@ def distinguish(
     )
 
 
-def hausdorff_dist(points_a, points_b, metric=None) -> float:
-    """Hausdorff distance between two finite nonempty point sets."""
-    a = list(points_a)
-    b = list(points_b)
-    if not a or not b:
-        raise ValueError("point sets must be nonempty")
-    if metric is None:
-        metric = lambda p, q: math.dist(p, q)
-    forward = max(min(metric(p, q) for q in b) for p in a)
-    backward = max(min(metric(p, q) for q in a) for p in b)
-    return max(forward, backward)
-
-
 # ---------------------------------------------------------------------------
 # Planar embedding and the metric oracle
 # ---------------------------------------------------------------------------
@@ -158,30 +147,26 @@ def leg_x(fan: FanModel, leg_index: int) -> float:
     return cantor_chunk_start(k) + 3.0 ** (-k) * address_value(leg.address)
 
 
-def arc_sample(fan: FanModel, leg_index: int, tau: float, cells: int = 64):
-    """Sample points of the arc from the top to height tau on a leg."""
-    x = leg_x(fan, leg_index)
-    return [(x, tau * i / cells) for i in range(cells + 1)]
-
-
-def fan_point_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Planar distance in the glued picture: direct, or through the top."""
-    return min(math.dist(p, q), p[1] + q[1])
-
-
 @dataclass
 class OracleResult:
     """Detected accumulation points per maximal leg.
 
-    ``clusters`` maps a leg index to merged detection intervals
-    (lo, hi); ``points`` holds the raw detected grid heights.
+    ``clusters`` maps a leg index to merged detection intervals (lo, hi).
     """
 
     clusters: dict
-    points: dict
 
-    def cluster_count(self, leg_index: int) -> int:
-        return len(self.clusters.get(leg_index, ()))
+
+def _grid_hit(lo_h: float, hi_h: float, step: float, cells: int) -> bool:
+    """Whether a grid height idx*step, 1 <= idx <= cells, lies in [lo_h, hi_h]
+    up to 1e-15; only ``first`` and ``first + 1`` need comparing (see
+    ``juma_metric_oracle``)."""
+    first = max(1, math.ceil(lo_h / step - 1e-9))
+    last = math.floor(hi_h / step + 1e-9)
+    return any(
+        lo_h - 1e-15 <= idx * step <= hi_h + 1e-15
+        for idx in range(first, min(last, cells, first + 1) + 1)
+    )
 
 
 def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
@@ -194,41 +179,50 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
     distance from the point's column to the nearest endpoint column of
     the same bundle: the scale at which every column sees its bundle
     neighbors but no foreign structure.
+
+    A merged detection interval is kept when a grid height idx*step lies in
+    it up to 1e-15, for some arc laid on the leg (step = arc length * grid)
+    and some 1 <= idx <= 1/grid; so ``grid`` must lie in (0, 1).  The
+    candidates run from first = ceil(lo/step - 1e-9) to min(last, 1/grid).
+    As idx*step does not decrease as idx grows, the matching indices form
+    one contiguous run, and the 1e-9 slack keeps (first + 1)*step above
+    lo - 1e-15: the run, if it meets the candidates, contains ``first`` or
+    ``first + 1``, and only those two are compared.
     """
+    if not 0.0 < grid < 1.0:
+        raise ValueError(f"grid must be in (0, 1), got {grid}")
     guests = fan.guest_indices
     maximal = [i for i in range(len(fan.legs)) if i not in guests]
+    # every leg is maximal or the guest of a maximal host
+    col = [leg_x(fan, i) for i in range(len(fan.legs))]
 
     # endpoints by bundle, sorted by x, for windowed lookups
     tips: dict[str, list[tuple[float, int, float]]] = {}
     for i in maximal:
         leg = fan.legs[i]
-        tips.setdefault(leg.bundle, []).append((leg_x(fan, i), i, leg.length))
+        tips.setdefault(leg.bundle, []).append((col[i], i, leg.length))
     for entries in tips.values():
         entries.sort()
+    tip_xs = {bundle: [e[0] for e in entries] for bundle, entries in tips.items()}
 
     def nearest_tip_dist(bundle: str, x: float, exclude: int) -> float:
-        best = math.inf
-        entries = tips.get(bundle, ())
-        xs = [e[0] for e in entries]
-        i = bisect.bisect_left(xs, x)
-        for j in range(max(0, i - 3), min(len(entries), i + 3)):
-            ex, ei, _ = entries[j]
-            if ei != exclude:
-                best = min(best, abs(ex - x))
-        return best
+        i = bisect.bisect_left(tip_xs.get(bundle, ()), x)
+        window = tips.get(bundle, ())[max(0, i - 3) : i + 3]
+        return min(
+            (abs(ex - x) for ex, ei, _ in window if ei != exclude), default=math.inf
+        )
 
     cells = round(1.0 / grid)
     clusters: dict[int, list[tuple[float, float]]] = {}
-    points: dict[int, list[float]] = {}
 
     for li in maximal:
         leg = fan.legs[li]
         # representatives of this leg's points: its own column plus each
         # glued guest's column, valid up to the guest's length
-        reps = [(leg_x(fan, li), leg.length, leg.bundle)]
+        reps = [(col[li], leg.length, leg.bundle)]
         for gi in fan.guests_of(li):
             g = fan.legs[gi]
-            reps.append((leg_x(fan, gi), g.length, g.bundle))
+            reps.append((col[gi], g.length, g.bundle))
         # exclude the top: nothing below half the finest grid step counts
         floor = 0.5 * grid * min(cap for _, cap, _ in reps)
 
@@ -237,11 +231,10 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
             delta = 1.5 * nearest_tip_dist(bundle, rx, li)
             if not math.isfinite(delta) or delta <= 0.0:
                 continue
-            entries = tips.get(bundle, ())
-            xs = [e[0] for e in entries]
+            xs = tip_xs[bundle]
             lo_i = bisect.bisect_left(xs, rx - delta)
             hi_i = bisect.bisect_right(xs, rx + delta)
-            for ex, ei, eh in entries[lo_i:hi_i]:
+            for ex, ei, eh in tips[bundle][lo_i:hi_i]:
                 if ei == li:
                     continue
                 dx = ex - rx
@@ -264,27 +257,16 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
                 merged.append((lo_h, hi_h))
 
         # grid heights: relative subdivisions of every arc laid on this leg
-        arcs = [leg.length] + [fan.legs[gi].length for gi in fan.guests_of(li)]
-        detected = set()
-        kept = []
-        for lo_h, hi_h in merged:
-            hit = False
-            for arc_len in arcs:
-                step = arc_len * grid
-                first = max(1, math.ceil(lo_h / step - 1e-9))
-                last = math.floor(hi_h / step + 1e-9)
-                for idx in range(first, min(last, cells) + 1):
-                    h = idx * step
-                    if lo_h - 1e-15 <= h <= hi_h + 1e-15:
-                        detected.add(h)
-                        hit = True
-            if hit:
-                kept.append((lo_h, hi_h))
+        steps = [cap * grid for _, cap, _ in reps]
+        kept = [
+            (lo_h, hi_h)
+            for lo_h, hi_h in merged
+            if any(_grid_hit(lo_h, hi_h, step, cells) for step in steps)
+        ]
         if kept:
             clusters[li] = kept
-            points[li] = sorted(detected)
 
-    return OracleResult(clusters, points)
+    return OracleResult(clusters)
 
 
 def oracle_agreement(fan: FanModel, grid: float = 2.0**-10) -> dict:

@@ -252,6 +252,8 @@ def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertifi
     cylinder of depth n contains an isolated itinerary.  Word counts per
     length are tallied and compared against the branching recurrence.
     """
+    if n < 1:
+        raise ValueError(f"depth must be >= 1, got {n}")
     counts = [0] * n
     min_right = 3
     min_left = min(min_right, len(letters_with_range(k)))

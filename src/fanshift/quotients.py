@@ -608,12 +608,20 @@ class FanModel:
         if guests & hosts:
             raise ValueError("a guest leg cannot also host")
 
-    @property
+    @cached_property
     def guest_indices(self) -> frozenset[int]:
         return frozenset(g.guest for g in self.gluings)
 
+    @cached_property
+    def _guests_by_host(self) -> dict[int, tuple[int, ...]]:
+        by_host: dict[int, list[int]] = {}
+        for g in self.gluings:
+            by_host.setdefault(g.host, []).append(g.guest)
+        return {host: tuple(guests) for host, guests in by_host.items()}
+
     def guests_of(self, leg_index: int) -> tuple[int, ...]:
-        return tuple(g.guest for g in self.gluings if g.host == leg_index)
+        """Guests laid onto a leg, in gluing order."""
+        return self._guests_by_host.get(leg_index, ())
 
     def to_dict(self) -> dict:
         return {

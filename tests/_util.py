@@ -1,7 +1,9 @@
-"""Shared sample generators for the test suite."""
+"""Shared sample generators and reference metrics for the test suite."""
 
+import math
 import random
 
+from fanshift.invariants import leg_x
 from fanshift.itinerary import (
     Letter,
     letters_with_domain,
@@ -42,7 +44,34 @@ def random_mpoint(r, k=None, half_width=8):
     return MPoint(word, XPoint(k, r.random()))
 
 
+def hausdorff_dist(points_a, points_b, metric=None) -> float:
+    """Hausdorff distance between two finite nonempty point sets."""
+    a = list(points_a)
+    b = list(points_b)
+    if not a or not b:
+        raise ValueError("point sets must be nonempty")
+    if metric is None:
+        metric = lambda p, q: math.dist(p, q)
+    forward = max(min(metric(p, q) for q in b) for p in a)
+    backward = max(min(metric(p, q) for q in a) for p in b)
+    return max(forward, backward)
+
+
+def arc_sample(fan, leg_index, tau, cells=64):
+    """Sample points of the arc from the top to height tau on a leg."""
+    x = leg_x(fan, leg_index)
+    return [(x, tau * i / cells) for i in range(cells + 1)]
+
+
+def fan_point_dist(p, q):
+    """Planar distance in the glued picture: direct, or through the top."""
+    return min(math.dist(p, q), p[1] + q[1])
+
+
 __all__ = [
+    "arc_sample",
+    "fan_point_dist",
+    "hausdorff_dist",
     "Letter",
     "letters_with_domain",
     "letters_with_range",

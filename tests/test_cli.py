@@ -129,8 +129,28 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "cantor", "--config", "{kmax_conf}"], None, "kmax: invalid literal"),
         (["verify", "quotient", "--config", "{seed_conf}"], None, "seed: invalid literal"),
         (["verify", "quotient"], "abc", "FANSHIFT_SEED: invalid literal"),
+        (["verify", "juma", "--grid", "0"], None, "grid must be in (0, 1)"),
+        (["verify", "juma", "--grid", "-1"], None, "grid must be in (0, 1)"),
+        (["verify", "juma", "--grid", "2"], None, "grid must be in (0, 1)"),
+        (["verify", "cantor", "--depth", "0"], None, "depth must be >= 1"),
+        (["verify", "distinguish", "--kmax", "0"], None, "kmax must be >= 1"),
+        (["verify", "orbit", "--eps", "nan"], None, "eps must be positive"),
+        (["verify", "impression", "--eps", "nan"], None, "eps must be positive"),
     ],
-    ids=["report-path", "svg-path", "config-kmax", "config-seed", "env-seed"],
+    ids=[
+        "report-path",
+        "svg-path",
+        "config-kmax",
+        "config-seed",
+        "env-seed",
+        "juma-grid-0",
+        "juma-grid-neg",
+        "juma-grid-2",
+        "cantor-depth-0",
+        "distinguish-kmax-0",
+        "orbit-eps-nan",
+        "impression-eps-nan",
+    ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):
     paths = {

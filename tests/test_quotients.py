@@ -8,7 +8,7 @@ from fanshift.errors import (
     TruncationError,
     WellDefinednessError,
 )
-from fanshift.invariants import arc_sample, fan_point_dist, hausdorff_dist, leg_x
+from fanshift.invariants import leg_x
 from fanshift.itinerary import Letter, Word, random_word
 from fanshift.mahavier import (
     ALL_INFINITY,
@@ -52,7 +52,7 @@ from fanshift.quotients import (
 )
 from fanshift.xspace import XPoint
 
-from _util import rng
+from _util import arc_sample, fan_point_dist, hausdorff_dist, rng
 
 
 # --- the compression and its lifts -----------------------------------------
