@@ -1,17 +1,26 @@
 """Command-line entry point: verification experiments and figure rendering.
 
 Usage:
-    fanshift render <fig1|fig2|fig3|fig4|fig5|fig6|glue> --out PATH [--depth D]
-    fanshift verify <name> [params] [--report PATH]
+    fanshift render <fig1|fig2|fig3|fig4|fig5|fig6|glue> --out PATH
+                    [--depth D] [--a A] [--seed S] [--config PATH]
+    fanshift verify <name> [params] [--report PATH] [--timings]
+                    [--config PATH] [--seed S]
     fanshift schema
+
+``COMMANDS`` lists every verify name with its runner and its parameters;
+each parameter's flag, config key, cast and default come from that one
+entry.  A flag the command does not read is a usage error.
 
 Exit codes: 0 when a command (and its check) succeeds, 1 when a
 verification fails, 2 on usage errors, including invalid parameter values,
 unreadable config files and unwritable output paths.  Reports are
-deterministic for a fixed seed; wall-clock timings are only included with --timings since they
-break byte-for-byte reproducibility.  Parameter precedence is flags over
-config file (plain key=value lines, --config) over defaults; the seed can
-also come from the FANSHIFT_SEED environment variable.
+deterministic for a fixed seed; wall-clock timings are only included with
+--timings since they break byte-for-byte reproducibility.  For verify and
+render alike, parameter precedence is flags over config file (plain
+key=value lines, --config; keys a command does not read are ignored) over
+defaults; the seed can also come from the FANSHIFT_SEED environment
+variable.  Every report carries its resolved parameters and seed, also
+when the check ends in an error.
 """
 
 from __future__ import annotations
@@ -38,33 +47,30 @@ from .quotients import AParam
 from .reports import dump_report, make_report, schema_text
 from .xspace import XPoint, embed, interval_diameter
 
-VERIFY_NAMES = (
-    "decomposition",
-    "diam",
-    "cantor",
-    "impression",
-    "hlavna",
-    "quotient",
-    "juma",
-    "distinguish",
-    "orbit",
-)
+# a parameter is (name, cast, default); a callable default is computed
+# from the values resolved before it
+_SEED = ("seed", int, 0)
+_RENDER_PARAMS = (("depth", int, None), ("a", AParam.parse, None))
 
-_DEFAULTS = {
-    "kmax": 8,
-    "samples": 1000,
-    "depth": 12,
-    "eps": 0.0625,
-    "window": 8,
-    "seed": 0,
-    "seed_t": 0.5,
-    "grid": 2.0**-10,
-    "u_cells": 12,
-}
+COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, *params):
+    """Register a verify runner under ``name`` with its ordered parameters.
+
+    The runner takes the resolved values (and the seed) as keyword
+    arguments and returns ``(passed, witnesses, extra)``.
+    """
+
+    def register(run):
+        COMMANDS[name] = (run, params)
+        return run
+
+    return register
 
 
 def _cast(key: str, cast, raw: str):
-    """Convert a config or environment value, naming its key if invalid."""
+    """Convert a flag, config or environment value, naming its key if invalid."""
     try:
         return cast(raw)
     except ValueError as exc:
@@ -85,56 +91,40 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-class Params:
-    """Effective parameters: flags beat config-file values beat defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = _load_config(self._args.get("config"))
-
-    def get(self, name: str, cast=None, default=None):
-        flag = self._args.get(name)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            raw = self._config[name]
-            return _cast(name, cast, raw) if cast else raw
-        if default is not None:
-            return default
-        return _DEFAULTS.get(name)
-
-    def seed(self) -> int:
-        flag = self._args.get("seed")
-        if flag is not None:
-            return flag
-        if "seed" in self._config:
-            return _cast("seed", int, self._config["seed"])
-        env = os.environ.get("FANSHIFT_SEED")
-        if env is not None:
-            return _cast("FANSHIFT_SEED", int, env)
-        return _DEFAULTS["seed"]
+def _resolve(params, flags: dict, config: dict) -> dict:
+    """Effective values of ``params`` plus the seed: flag, then config, then
+    default; the seed alone falls back to FANSHIFT_SEED before its default."""
+    values = {}
+    for name, cast, default in (*params, _SEED):
+        key, raw = name, flags.get(name)
+        if raw is None:
+            raw = config.get(name)
+        if raw is None and name == "seed":
+            key, raw = "FANSHIFT_SEED", os.environ.get("FANSHIFT_SEED")
+        if raw is not None:
+            values[name] = _cast(key, cast, raw)
+        else:
+            values[name] = default(values) if callable(default) else default
+    return values
 
 
-def _run_decomposition(p: Params):
-    kmax = p.get("kmax", int)
-    samples = p.get("samples", int)
-    rep = relations.decomposition_check(kmax, samples, seed=p.seed())
+@_command("decomposition", ("kmax", int, 8), ("samples", int, 1000))
+def _run_decomposition(kmax, samples, seed):
+    rep = relations.decomposition_check(kmax, samples, seed=seed)
     witnesses = [rep.first_counterexample] if rep.first_counterexample else []
-    return rep.passed, witnesses, rep.to_dict(), {"kmax": kmax, "samples": samples}
+    return rep.passed, witnesses, rep.to_dict()
 
 
-def _run_diam(p: Params):
-    kmax = p.get("kmax", int)
-    samples = p.get("samples", int)
-    n = p.get("window", int)
-    rng = random.Random(p.seed())
+@_command("diam", ("kmax", int, 8), ("samples", int, 1000), ("window", int, 8))
+def _run_diam(kmax, samples, window, seed):
+    rng = random.Random(seed)
     witnesses = []
     for k in range(1, kmax + 1):
         got = embed(XPoint(k, 1.0)) - embed(XPoint(k, 0.0))
         if got != interval_diameter(k):
             witnesses.append({"check": "interval", "k": k, "diameter": got})
     klim = min(kmax, 6)
-    cfg = WindowConfig(n)
+    cfg = WindowConfig(window)
     worst = {}
     within_rate = {}
     for k in range(1, klim + 1):
@@ -142,8 +132,8 @@ def _run_diam(p: Params):
         top = 0.0
         seen = 0
         for _ in range(samples):
-            a = random_window_point(rng, k, n)
-            b = random_window_point(rng, k, n)
+            a = random_window_point(rng, k, window)
+            b = random_window_point(rng, k, window)
             d = dist_window(a, b, cfg)
             top = max(top, d)
             if d > bound and seen < 3:
@@ -154,20 +144,14 @@ def _run_diam(p: Params):
         # interval ray doubles the distance, so the stated 2^(1-2k) is only
         # attained by the base coordinate
         within_rate[str(k)] = top <= 2.0 ** (1 - k)
-    passed = not witnesses
-    return passed, witnesses, {
+    return not witnesses, witnesses, {
         "worst_slice_dist": worst,
         "within_attained_rate": within_rate,
-    }, {
-        "kmax": kmax,
-        "samples": samples,
-        "window": n,
     }
 
 
-def _run_cantor(p: Params):
-    kmax = p.get("kmax", int)
-    depth = p.get("depth", int)
+@_command("cantor", ("kmax", int, 8), ("depth", int, 12))
+def _run_cantor(kmax, depth, **_):
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     witnesses = []
@@ -181,40 +165,30 @@ def _run_cantor(p: Params):
         )
         if not cert.passed:
             witnesses.append(cert.to_dict())
-    return (
-        not witnesses,
-        witnesses,
-        {"min_branching": min_branch, "words_checked": words},
-        {"kmax": kmax, "depth": depth},
-    )
+    return not witnesses, witnesses, {"min_branching": min_branch, "words_checked": words}
 
 
-def _run_impression(p: Params):
-    seed_t = p.get("seed_t", float)
-    eps = p.get("eps", float)
-    depth = p.get("depth", int)
-    k_cut = p.get("k_cut", int, default=impression.default_k_cut(eps))
-    m_max = p.get("m_max", int, default=12)
-    n_max = p.get("n_max", int, default=12)
-    k_max = p.get("k_max", int, default=8)
-    seed = XPoint(1, seed_t)
-    cloud = impression.forward_reachable(seed, depth)
+@_command(
+    "impression",
+    ("seed_t", float, 0.5),
+    ("eps", float, 0.0625),
+    ("depth", int, 12),
+    ("k_cut", int, lambda v: impression.default_k_cut(v["eps"])),
+    ("m_max", int, 12),
+    ("n_max", int, 12),
+    ("k_max", int, 8),
+)
+def _run_impression(seed_t, eps, depth, k_cut, m_max, n_max, k_max, **_):
+    cloud = impression.forward_reachable(XPoint(1, seed_t), depth)
     cloud.update(
         sp.xpoint() for sp in impression.symbolic_family(seed_t, m_max, n_max, k_max)
     )
     rep = impression.eps_dense_check(cloud, eps, k_cut)
-    return rep.passed, rep.uncovered, rep.to_dict(), {
-        "seed_t": seed_t,
-        "eps": eps,
-        "depth": depth,
-        "k_cut": k_cut,
-        "m_max": m_max,
-        "n_max": n_max,
-        "k_max": k_max,
-    }
+    return rep.passed, rep.uncovered, rep.to_dict()
 
 
-def _run_hlavna(p: Params):
+@_command("hlavna")
+def _run_hlavna(**_):
     reports = [
         quotients.check_hlavna(quotients.identity_map, name="identity"),
         quotients.check_hlavna(quotients.swap_digit_map, name="digit-swap"),
@@ -228,13 +202,12 @@ def _run_hlavna(p: Params):
     return passed, witnesses, {
         "maps": [r.to_dict() for r in reports],
         "violator": crush.to_dict(),
-    }, {}
+    }
 
 
-def _run_quotient(p: Params):
-    a = AParam.parse(p.get("a", str, default="2,4"))
-    samples = p.get("samples", int)
-    rng = random.Random(p.seed())
+@_command("quotient", ("a", AParam.parse, AParam((2, 4))), ("samples", int, 1000))
+def _run_quotient(a, samples, seed):
+    rng = random.Random(seed)
     witnesses = []
     try:
         quotients.descend(shift, a, rng=rng, pairs=max(50, samples // 10))
@@ -256,15 +229,11 @@ def _run_quotient(p: Params):
         x = diagonal_point(j, rng.random())
         if not quotients.sim_a(shift(x), x, a):
             witnesses.append({"check": "diagonal-fixed", "j": j})
-    return not witnesses, witnesses, {"pairs_checked": checked}, {
-        "a": list(a.coords),
-        "samples": samples,
-    }
+    return not witnesses, witnesses, {"pairs_checked": checked}
 
 
-def _run_juma(p: Params):
-    depth = p.get("depth", int, default=3)
-    grid = p.get("grid", float)
+@_command("juma", ("depth", int, 3), ("grid", float, 2.0**-10))
+def _run_juma(depth, grid, **_):
     params = [
         AParam(()),
         AParam((1,)),
@@ -279,61 +248,40 @@ def _run_juma(p: Params):
         rep = invariants.oracle_agreement(fan, grid)
         if not rep["passed"]:
             witnesses.append({"a": list(a.coords), "mismatches": rep["mismatches"]})
-    return not witnesses, witnesses, {"fans_checked": len(params)}, {
-        "depth": depth,
-        "grid": grid,
-    }
+    return not witnesses, witnesses, {"fans_checked": len(params)}
 
 
-def _run_distinguish(p: Params):
-    a = AParam.parse(p.get("a", str, default="1,4,5"))
-    b = AParam.parse(p.get("b", str, default="2,4,5"))
-    kmax = p.get("kmax", int, default=max(len(a), len(b)))
-    depth = p.get("depth", int, default=4)
+@_command(
+    "distinguish",
+    ("a", AParam.parse, AParam((1, 4, 5))),
+    ("b", AParam.parse, AParam((2, 4, 5))),
+    ("kmax", int, lambda v: max(len(v["a"]), len(v["b"]))),
+    ("depth", int, 4),
+)
+def _run_distinguish(a, b, kmax, depth, **_):
     try:
         cert = invariants.distinguish(a, b, kmax, depth)
     except NotDistinguished as exc:
-        return False, [{"error": str(exc)}], {}, {
-            "a": list(a.coords),
-            "b": list(b.coords),
-            "kmax": kmax,
-            "depth": depth,
-        }
-    return True, [], {"certificate": cert.to_dict()}, {
-        "a": list(a.coords),
-        "b": list(b.coords),
-        "kmax": kmax,
-        "depth": depth,
-    }
+        return False, [{"error": str(exc)}], {}
+    return True, [], {"certificate": cert.to_dict()}
 
 
-def _run_orbit(p: Params):
-    eps = p.get("eps", float, default=0.125)
-    n = p.get("window", int, default=2)
-    u_cells = p.get("u_cells", int)
-    cfg = WindowConfig(n)
-    result = impression.transitive_orbit_builder(eps, cfg, u_cells=u_cells)
+@_command("orbit", ("eps", float, 0.125), ("window", int, 2), ("u_cells", int, 12))
+def _run_orbit(eps, window, u_cells, **_):
+    result = impression.transitive_orbit_builder(
+        eps, WindowConfig(window), u_cells=u_cells
+    )
     check = impression.verify_orbit(result)
     passed = result.passed and check["passed"]
     witnesses = [] if passed else [check]
-    return passed, witnesses, {"orbit": result.to_dict(), "verify": check}, {
-        "eps": eps,
-        "window": n,
-        "u_cells": u_cells,
-    }
+    return passed, witnesses, {"orbit": result.to_dict(), "verify": check}
 
 
-_RUNNERS = {
-    "decomposition": _run_decomposition,
-    "diam": _run_diam,
-    "cantor": _run_cantor,
-    "impression": _run_impression,
-    "hlavna": _run_hlavna,
-    "quotient": _run_quotient,
-    "juma": _run_juma,
-    "distinguish": _run_distinguish,
-    "orbit": _run_orbit,
-}
+def _add_params(parser: argparse.ArgumentParser, params) -> None:
+    """One string flag per parameter (cast later by ``_resolve``), plus --config."""
+    for name, _, _ in (*params, _SEED):
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
+    parser.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,31 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="write an SVG figure")
     render.add_argument("figure", choices=FIGURE_IDS)
     render.add_argument("--out", required=True)
-    render.add_argument("--depth", type=int)
-    render.add_argument("--a", type=str)
-    render.add_argument("--seed", type=int)
-    render.add_argument("--config", type=str)
+    _add_params(render, _RENDER_PARAMS)
 
     verify = sub.add_parser("verify", help="run a verification experiment")
-    verify.add_argument("name", choices=VERIFY_NAMES)
-    verify.add_argument("--report", type=str)
-    verify.add_argument("--timings", action="store_true")
-    verify.add_argument("--config", type=str)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--kmax", type=int)
-    verify.add_argument("--samples", type=int)
-    verify.add_argument("--depth", type=int)
-    verify.add_argument("--eps", type=float)
-    verify.add_argument("--window", type=int)
-    verify.add_argument("--seed-t", dest="seed_t", type=float)
-    verify.add_argument("--k-cut", dest="k_cut", type=int)
-    verify.add_argument("--m-max", dest="m_max", type=int)
-    verify.add_argument("--n-max", dest="n_max", type=int)
-    verify.add_argument("--k-max", dest="k_max", type=int)
-    verify.add_argument("--grid", type=float)
-    verify.add_argument("--u-cells", dest="u_cells", type=int)
-    verify.add_argument("--a", type=str)
-    verify.add_argument("--b", type=str)
+    names = verify.add_subparsers(dest="name", required=True)
+    for name, (_, params) in COMMANDS.items():
+        cmd = names.add_parser(name)
+        cmd.add_argument("--report")
+        cmd.add_argument("--timings", action="store_true")
+        _add_params(cmd, params)
 
     sub.add_parser("schema", help="print the report JSON schema")
     return parser
@@ -390,22 +322,23 @@ def main(argv=None) -> int:
         sys.stdout.write(schema_text())
         return 0
 
+    if args.command == "render":
+        params = _RENDER_PARAMS
+    else:
+        run, params = COMMANDS[args.name]
     # invalid parameter values and unreadable config files are usage errors
     try:
-        p = Params(args)
-        seed = p.seed()
+        values = _resolve(params, vars(args), _load_config(args.config))
         if args.command == "render":
-            a = AParam.parse(args.a) if args.a else None
-            svg = render_figure(args.figure, depth=args.depth, seed=seed, a=a)
+            svg = render_figure(args.figure, **values)
         else:
             started = time.perf_counter()
             try:
-                passed, witnesses, extra, params = _RUNNERS[args.name](p)
+                passed, witnesses, extra = run(**values)
             except FanshiftError as exc:
                 passed = False
                 witnesses = [{"error": type(exc).__name__, "message": str(exc)}]
                 extra = {}
-                params = {}
             elapsed = time.perf_counter() - started
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits 2
@@ -413,9 +346,12 @@ def main(argv=None) -> int:
     if args.command == "render":
         _write(parser, args.out, svg)
         return 0
-    params["seed"] = seed
+    report_params = {
+        name: list(v.coords) if isinstance(v, AParam) else v
+        for name, v in values.items()
+    }
     timings = {"wall_s": round(elapsed, 3)} if args.timings else {}
-    report = make_report(args.name, params, passed, witnesses, timings, extra)
+    report = make_report(args.name, report_params, passed, witnesses, timings, extra)
     text = dump_report(report)
     if args.report:
         _write(parser, args.report, text)

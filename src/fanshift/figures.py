@@ -209,7 +209,7 @@ def fig_model_space(kmax: int = 7, depth: int = 4) -> str:
 
 def fig_gluing(a: AParam | None = None, depth: int = 3) -> str:
     """Host arcs with their glued guests, one panel per parameter block."""
-    if a is None:
+    if not a:
         a = AParam((2, 4))
     kmax_bundle = host_bundle(len(a)) + 2 * len(a)
     fan = build_fan(a, kmax_bundle, depth)

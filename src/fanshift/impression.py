@@ -25,17 +25,11 @@ from .mahavier import (
     coord_range,
     dist_window,
     dist_window_forward,
-    fiber_length,
 )
-from .xspace import INFINITY, TOL, Tolerance, XPoint, cbrt, dist, embed
+from .xspace import INFINITY, TOL, Tolerance, XPoint, dist, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
-
-
-def in_seed_set(x: XPoint) -> bool:
-    """Membership in the dense open seed set: interval interiors only."""
-    return x.k is not None and 0.0 < x.u < 1.0
 
 
 def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoint]:
@@ -137,12 +131,6 @@ def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
     else:
         path.extend(_navigate(1, k))
     return tuple(path)
-
-
-def apply_path(x: XPoint, path) -> XPoint:
-    for lt in path:
-        x = lt.piece().apply(x)
-    return x
 
 
 def symbolic_family(
@@ -458,15 +446,7 @@ def transitive_orbit_builder(
 
         found = False
         for m, n_steps in _steer_candidates(u_cur, v_target, tries):
-            conn: list[Letter] = []
-            conn.extend(_navigate(k_cur, 1))
-            conn.extend([Letter(1, 2)] * n_steps)
-            if m > 0:
-                conn.append(Letter(1, 3))
-                conn.extend([Letter(2, 2)] * m)
-                conn.extend(_navigate(2, d_left))
-            else:
-                conn.extend(_navigate(1, d_left))
+            conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
             v = u_cur
             for lt in conn:
                 v = lt.piece().apply_u(v)

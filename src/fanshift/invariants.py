@@ -182,15 +182,16 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
 
     A merged detection interval is kept when a grid height idx*step lies in
     it up to 1e-15, for some arc laid on the leg (step = arc length * grid)
-    and some 1 <= idx <= 1/grid; so ``grid`` must lie in (0, 1).  The
-    candidates run from first = ceil(lo/step - 1e-9) to min(last, 1/grid).
+    and some 1 <= idx <= 1/grid; so ``grid`` must lie in (0, 1), with a
+    finite 1/grid.  The candidates run from first = ceil(lo/step - 1e-9)
+    to min(last, 1/grid).
     As idx*step does not decrease as idx grows, the matching indices form
     one contiguous run, and the 1e-9 slack keeps (first + 1)*step above
     lo - 1e-15: the run, if it meets the candidates, contains ``first`` or
     ``first + 1``, and only those two are compared.
     """
-    if not 0.0 < grid < 1.0:
-        raise ValueError(f"grid must be in (0, 1), got {grid}")
+    if not (0.0 < grid < 1.0 and math.isfinite(1.0 / grid)):
+        raise ValueError(f"grid must be in (0, 1) with a finite 1/grid, got {grid}")
     guests = fan.guest_indices
     maximal = [i for i in range(len(fan.legs)) if i not in guests]
     # every leg is maximal or the guest of a maximal host

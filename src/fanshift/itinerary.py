@@ -137,19 +137,6 @@ class Word:
         return Word(self.letters[lo - self.start : hi - self.start + 1], lo)
 
 
-def extensions(word: Word, direction: str) -> tuple[Letter, ...]:
-    """Letters extending the word admissibly on the given side.
-
-    The right side branches 2 ways when the final range is interval 1 and
-    3 ways otherwise; the left side does the same with the initial domain.
-    """
-    if direction == "right":
-        return letters_with_domain(word.letters[-1].range_index)
-    if direction == "left":
-        return letters_with_range(word.letters[0].domain_index)
-    raise ValueError("direction must be 'left' or 'right'")
-
-
 def iter_words(
     k: int, n: int, *, start: int = 0, cap: int = ENUMERATION_CAP
 ) -> Iterator[Word]:
@@ -188,12 +175,6 @@ def iter_words(
                     f"enumeration of words (k={k}, n={n}) exceeded cap {cap}"
                 )
             yield Word(chain, start)
-
-
-def enumerate_words(
-    k: int, n: int, *, start: int = 0, cap: int = ENUMERATION_CAP
-) -> list[Word]:
-    return list(iter_words(k, n, start=start, cap=cap))
 
 
 def count_words_recurrence(k: int, n: int) -> list[int]:

@@ -286,22 +286,3 @@ def random_window_point(rng, k: int, half_width: int = 8) -> MPoint:
 
     word = random_word(rng, k, left=half_width, right=half_width)
     return MPoint(word, XPoint(k, rng.random()))
-
-
-def to_record(p: MPoint) -> dict:
-    """JSON-ready record: letters, offset of the position-0 letter, base."""
-    if p.is_all_infinity:
-        return {"word": None, "offset": 0, "t0": {"k": None, "u": 0.0}}
-    return {
-        "word": [[lt.ell, lt.j] for lt in p.word.letters],
-        "offset": -p.word.start,
-        "t0": {"k": p.t0.k, "u": p.t0.u},
-    }
-
-
-def from_record(rec: dict) -> MPoint:
-    if rec["word"] is None:
-        return ALL_INFINITY
-    letters = tuple(Letter(ell, j) for ell, j in rec["word"])
-    word = Word(letters, -rec["offset"])
-    return MPoint(word, XPoint(rec["t0"]["k"], rec["t0"]["u"]))

@@ -623,24 +623,6 @@ class FanModel:
         """Guests laid onto a leg, in gluing order."""
         return self._guests_by_host.get(leg_index, ())
 
-    def to_dict(self) -> dict:
-        return {
-            "top": self.top,
-            "legs": [
-                {"bundle": leg.bundle, "address": leg.address, "length": leg.length}
-                for leg in self.legs
-            ],
-            "gluings": [{"host": g.host, "guest": g.guest} for g in self.gluings],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FanModel":
-        legs = tuple(
-            Leg(d["bundle"], d["address"], d["length"]) for d in data["legs"]
-        )
-        gluings = tuple(Gluing(d["host"], d["guest"]) for d in data["gluings"])
-        return cls(legs, gluings, data.get("top", "o"))
-
 
 @lru_cache(maxsize=256)
 def _bundle_addresses(k: int, depth: int) -> tuple[str, ...]:

@@ -78,10 +78,6 @@ class XPoint:
 INFINITY = XPoint(None)
 
 
-def finite(k: int, u: float) -> XPoint:
-    return XPoint(k, u)
-
-
 def embed(x: XPoint) -> float:
     """Increasing chart into [0, 1]; the metric is the pullback of |.|.
 
@@ -105,14 +101,3 @@ def interval_diameter(k: int) -> float:
     if k < 1:
         raise ValueError("interval index must be >= 1")
     return 2.0 ** (1 - 2 * k)
-
-
-def points_equal(x: XPoint, y: XPoint, tol: Tolerance = TOL) -> bool:
-    """Equality up to tolerance in the local coordinate.
-
-    Intervals are pairwise disjoint with gaps, so indices must match
-    exactly; only the local coordinate is compared approximately.
-    """
-    if x.k is None or y.k is None:
-        return x.k is None and y.k is None
-    return x.k == y.k and abs(x.u - y.u) <= tol.eps_eq

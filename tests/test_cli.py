@@ -9,6 +9,12 @@ import pytest
 from fanshift.cli import main
 from fanshift.reports import REPORT_SCHEMA, SCHEMA_VERSION
 
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json").read_text(
+        encoding="utf-8"
+    )
+)
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -102,6 +108,7 @@ def test_usage_error_exit_code(capsys):
         ["verify", "impression", "--eps", "0"],
         ["verify", "impression", "--seed-t", "1.5"],
         ["verify", "cantor", "--kmax", "0"],
+        ["verify", "hlavna", "--kmax", "3"],
         ["render", "glue", "--out", "{svg}", "--a", "1,5"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
@@ -132,6 +139,7 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "juma", "--grid", "0"], None, "grid must be in (0, 1)"),
         (["verify", "juma", "--grid", "-1"], None, "grid must be in (0, 1)"),
         (["verify", "juma", "--grid", "2"], None, "grid must be in (0, 1)"),
+        (["verify", "juma", "--grid", "1e-310"], None, "with a finite 1/grid"),
         (["verify", "cantor", "--depth", "0"], None, "depth must be >= 1"),
         (["verify", "distinguish", "--kmax", "0"], None, "kmax must be >= 1"),
         (["verify", "orbit", "--eps", "nan"], None, "eps must be positive"),
@@ -146,6 +154,7 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "juma-grid-0",
         "juma-grid-neg",
         "juma-grid-2",
+        "juma-grid-tiny",
         "cantor-depth-0",
         "distinguish-kmax-0",
         "orbit-eps-nan",
@@ -169,21 +178,27 @@ def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monk
     assert needle.format(**paths) in err and "Traceback" not in err
 
 
-def test_verify_hlavna_matches_recorded_digest(tmp_path):
-    expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
-    digest = json.loads(expected.read_text(encoding="utf-8"))["digests"]["verify-hlavna"]
-    report = tmp_path / "hlavna.json"
-    assert main(["verify", "hlavna", "--report", str(report)]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+@pytest.mark.parametrize("key", sorted(EXPECTED["digests"]))
+def test_default_output_matches_recorded_digest(key, tmp_path):
+    """Every default-parameter report and SVG is byte-identical to its digest."""
+    kind, name = key.split("-", 1)
+    out = tmp_path / "out"
+    if kind == "verify":
+        code = main(["verify", name, "--report", str(out)])
+        assert code == (1 if name in EXPECTED["expected_fail"] else 0)
+    else:
+        assert main(["render", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED["digests"][key]
 
 
-
-def test_verify_orbit_matches_recorded_digest(tmp_path):
-    expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
-    digest = json.loads(expected.read_text(encoding="utf-8"))["digests"]["verify-orbit"]
-    report = tmp_path / "orbit.json"
-    assert main(["verify", "orbit", "--report", str(report)]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+def test_failure_report_keeps_its_parameters(tmp_path):
+    # a frontier configuration: the builder raises PathNotFound
+    report_path = tmp_path / "orbit.json"
+    argv = ["verify", "orbit", "--eps", "0.0625", "--window", "2"]
+    assert main(argv + ["--report", str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert report["witnesses"][0]["error"] == "PathNotFound"
+    assert report["params"] == {"eps": 0.0625, "window": 2, "u_cells": 12, "seed": 0}
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -239,6 +254,18 @@ def test_render_deterministic(tmp_path):
     text = out1.read_text()
     assert text.startswith("<?xml")
     assert "<svg" in text
+
+
+def test_render_reads_config(tmp_path):
+    cfg = tmp_path / "render.conf"
+    cfg.write_text("depth=4\n")
+    by_flag, by_config = tmp_path / "flag.svg", tmp_path / "config.svg"
+    assert main(["render", "fig1", "--out", str(by_flag), "--depth", "4"]) == 0
+    assert main(["render", "fig1", "--out", str(by_config), "--config", str(cfg)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    # and the config did change the figure: depth 4 is not fig1's default
+    digest = hashlib.sha256(by_config.read_bytes()).hexdigest()
+    assert digest != EXPECTED["digests"]["render-fig1"]
 
 
 def test_render_all_figures(tmp_path):

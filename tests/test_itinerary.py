@@ -10,8 +10,7 @@ from fanshift.itinerary import (
     cantor_certificate,
     count_words_recurrence,
     encoding_positions,
-    enumerate_words,
-    extensions,
+    iter_words,
     is_admissible,
     letters_with_domain,
     letters_with_range,
@@ -104,46 +103,47 @@ def test_word_validation():
 
 
 def test_extensions_examples():
-    assert extensions(Word((Letter(1, 2),)), "right") == (Letter(1, 2), Letter(1, 3))
-    assert extensions(Word((Letter(1, 3),)), "right") == (
+    # right extensions start in the final range, left ones end in the first domain
+    assert letters_with_domain(Letter(1, 2).range_index) == (Letter(1, 2), Letter(1, 3))
+    assert letters_with_domain(Letter(1, 3).range_index) == (
         Letter(2, 1),
         Letter(2, 2),
         Letter(2, 3),
     )
-    assert extensions(Word((Letter(1, 2),)), "left") == (Letter(1, 2), Letter(2, 1))
+    assert letters_with_range(Letter(1, 2).domain_index) == (Letter(1, 2), Letter(2, 1))
 
 
 def test_extension_set_sizes():
     r = rng(2)
     for _ in range(500):
         w = Word(tuple(random_letter_chain(r, 6)))
-        right = extensions(w, "right")
-        left = extensions(w, "left")
+        right = letters_with_domain(w.letters[-1].range_index)
+        left = letters_with_range(w.letters[0].domain_index)
         assert len(right) == (2 if w.letters[-1].range_index == 1 else 3)
         assert len(left) == (2 if w.letters[0].domain_index == 1 else 3)
         assert len(right) >= 2 and len(left) >= 2
 
 
 def test_enumerate_word_counts():
-    assert len(enumerate_words(1, 1)) == 2
-    assert len(enumerate_words(3, 1)) == 3
-    assert len(enumerate_words(1, 2)) == 5
+    assert len(list(iter_words(1, 1))) == 2
+    assert len(list(iter_words(3, 1))) == 3
+    assert len(list(iter_words(1, 2))) == 5
 
 
 def test_enumeration_matches_recurrence_exhaustively():
     for k in range(1, 7):
         expected = count_words_recurrence(k, 10)
         for n in range(1, 11):
-            assert len(enumerate_words(k, n)) == expected[n - 1]
+            assert len(list(iter_words(k, n))) == expected[n - 1]
 
 
 def test_enumeration_cap():
     with pytest.raises(ResourceCapExceeded):
-        enumerate_words(5, 10, cap=100)
+        list(iter_words(5, 10, cap=100))
 
 
 def test_two_sided_enumeration():
-    words = enumerate_words(1, 4, start=-2)
+    words = list(iter_words(1, 4, start=-2))
     assert len(words) == 25
     for w in words:
         assert w.start == -2
@@ -169,13 +169,13 @@ def test_encoding_positions_order():
 
 
 def test_address_digits_alphabet():
-    for w in enumerate_words(2, 4):
+    for w in iter_words(2, 4):
         assert set(cantor_address(w)) <= {"0", "2"}
 
 
 def test_addresses_injective_on_equal_length():
     for k in (1, 3):
-        words = enumerate_words(k, 6)
+        words = list(iter_words(k, 6))
         addrs = [cantor_address(w) for w in words]
         assert len(set(addrs)) == len(addrs)
 
@@ -185,7 +185,7 @@ def test_address_extension_preserves_prefix():
     for _ in range(300):
         w = Word(tuple(random_letter_chain(r, 5)))
         addr = cantor_address(w)
-        ext = r.choice(extensions(w, "right"))
+        ext = r.choice(letters_with_domain(w.letters[-1].range_index))
         w2 = Word(w.letters + (ext,), w.start)
         assert cantor_address(w2).startswith(addr)
 
@@ -205,7 +205,7 @@ def test_address_symmetric_extension_preserves_prefix():
 def test_addresses_separated_in_chunk_metric():
     # computed with the chosen block encoding: length-4 words through
     # interval 3 sit at least 3^-12 apart once embedded in their chunk
-    words = enumerate_words(3, 4)
+    words = list(iter_words(3, 4))
     values = sorted(3.0**-3 * address_value(cantor_address(w)) for w in words)
     gaps = [b - a for a, b in zip(values, values[1:])]
     assert min(gaps) >= 3.0**-12

@@ -411,13 +411,6 @@ def test_fan_model_invariants():
         FanModel(legs, (Gluing(0, 1), Gluing(0, 1)))
 
 
-def test_fan_serialization_round_trip():
-    fan = build_fan(AParam((2,)), 5, 2)
-    data = fan.to_dict()
-    assert set(data) == {"top", "legs", "gluings"}
-    assert FanModel.from_dict(data) == fan
-
-
 def test_identity_address_is_stay_cylinder():
     assert identity_address(3, 2) == "0202"
     legs = build_fan(AParam((1,)), 4, 2).legs

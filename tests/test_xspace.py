@@ -11,7 +11,6 @@ from fanshift.xspace import (
     dist,
     embed,
     interval_diameter,
-    points_equal,
 )
 
 from _util import random_xpoint, rng
@@ -102,13 +101,6 @@ def test_construction_rejects_large_excess():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(0.0)
-
-
-def test_points_equal_requires_same_interval():
-    assert points_equal(XPoint(3, 0.5), XPoint(3, 0.5 + 1e-14))
-    assert not points_equal(XPoint(3, 0.0), XPoint(4, 0.0))
-    assert points_equal(INFINITY, INFINITY)
-    assert not points_equal(INFINITY, XPoint(30, 1.0))
 
 
 def test_cbrt_exact_on_exact_cubes():
