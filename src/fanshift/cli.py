@@ -117,6 +117,10 @@ def _run_decomposition(kmax, samples, seed):
 
 @_command("diam", ("kmax", int, 8), ("samples", int, 1000), ("window", int, 8))
 def _run_diam(kmax, samples, window, seed):
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     witnesses = []
     for k in range(1, kmax + 1):

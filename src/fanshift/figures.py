@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .itinerary import address_value, cantor_address, iter_words
-from .mahavier import cantor_chunk_start, fiber_length
+from .mahavier import chunk_x, fiber_length
 from .quotients import AParam, build_fan, host_bundle
 from .xspace import XPoint, embed
 
@@ -64,15 +64,7 @@ class Svg:
 
 
 def _cantor_addresses(depth: int) -> list[float]:
-    out = []
-    for digits in iter_product((0, 2), repeat=depth):
-        v = 0.0
-        scale = 1.0
-        for d in digits:
-            scale /= 3.0
-            v += d * scale
-        out.append(v)
-    return sorted(out)
+    return sorted(address_value("".join(d)) for d in iter_product("02", repeat=depth))
 
 
 def fig_cantor_fan(depth: int = 6) -> str:
@@ -199,9 +191,8 @@ def fig_model_space(kmax: int = 7, depth: int = 4) -> str:
 
     for k in range(1, kmax + 1):
         h = fiber_length(k)
-        x0 = cantor_chunk_start(k)
         for w in iter_words(k, depth):
-            c = x0 + 3.0 ** (-k) * address_value(cantor_address(w))
+            c = chunk_x(k, cantor_address(w))
             svg.line(*pt(c, 0.0), *pt(c, h), width=0.7)
     svg.circle(*pt(1.0, 0.0), 3.5)
     return svg.render()

@@ -22,9 +22,9 @@ from .mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
+    _window_dists,
     coord_range,
     dist_window,
-    dist_window_forward,
 )
 from .xspace import INFINITY, TOL, Tolerance, XPoint, dist, embed
 
@@ -189,8 +189,6 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
         raise ValueError("need a nonempty sample set")
 
     def min_dist(e: float) -> float:
-        import bisect
-
         i = bisect.bisect_left(embeds, e)
         best = math.inf
         if i < len(embeds):
@@ -228,7 +226,6 @@ class Visit:
     net_index: int
     time: int
     dist: float
-    forward_dist: float
 
 
 @dataclass
@@ -267,6 +264,8 @@ def build_net(
 ) -> list[MPoint]:
     """Window-space net: every admissible window word up to the interval
     cutoff, crossed with a height grid, plus the all-infinity point."""
+    if u_cells < 1:
+        raise ValueError(f"u_cells must be >= 1, got {u_cells}")
     n = cfg.half_width
     if k_cut is None:
         k_cut = orbit_k_cut(eps, n)
@@ -408,10 +407,9 @@ def transitive_orbit_builder(
         return MPoint(sl, XPoint(kinds[time + n], values[time + n]))
 
     d0 = dist_window(window_point(0), seed_elem, cfg)
-    f0 = dist_window_forward(window_point(0), seed_elem, cfg)
     if d0 > target:
         raise PathNotFound("seed element not matched; refine the height grid")
-    visits.append(Visit(order[0], 0, d0, f0))
+    visits.append(Visit(order[0], 0, d0))
 
     for oi in order[1:]:
         elem = net[oi]
@@ -431,12 +429,10 @@ def transitive_orbit_builder(
             # the identity block covers orbit transitions block-n..block+n-1,
             # so the visited window is centered at orbit time ``block``
             vis_time = block
-            p_vis = window_point(vis_time)
-            d = dist_window(p_vis, elem, cfg)
-            f = dist_window_forward(p_vis, elem, cfg)
+            d = dist_window(window_point(vis_time), elem, cfg)
             if d > target:
                 raise PathNotFound("infinity element not matched; raise k_vis")
-            visits.append(Visit(oi, vis_time, d, f))
+            visits.append(Visit(oi, vis_time, d))
             continue
 
         word = elem.word
@@ -447,9 +443,7 @@ def transitive_orbit_builder(
         found = False
         for m, n_steps in _steer_candidates(u_cur, v_target, tries):
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            v = u_cur
-            for lt in conn:
-                v = lt.piece().apply_u(v)
+            v = _push(u_cur, conn)
             u0_vis = _push(v, (word.letter(pos) for pos in range(-n, 0)))
             u_end = _push(u0_vis, (word.letter(pos) for pos in range(0, n)))
             if not 0.0 < u_end < 1.0:
@@ -467,10 +461,9 @@ def transitive_orbit_builder(
                 # base-n..base+n-1, centering the visit at time ``base``
                 vis_time = base
                 d_check = dist_window(window_point(vis_time), elem, cfg)
-                f = dist_window_forward(window_point(vis_time), elem, cfg)
                 if d_check > target:
                     raise PathNotFound("window mismatch after append")
-                visits.append(Visit(oi, vis_time, d_check, f))
+                visits.append(Visit(oi, vis_time, d_check))
                 found = True
                 break
         if not found:
@@ -488,8 +481,8 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     """Re-check every recorded visit against the returned point alone.
 
     Recomputes the coordinate trace of the orbit point from scratch and
-    re-evaluates both window metrics at each visit time, trusting nothing
-    from the stored distances.
+    re-evaluates the two-sided and the forward window metric at each visit
+    time in one pass, trusting nothing from the stored distances.
     """
     eps = result.eps if eps is None else eps
     cfg = result.cfg
@@ -507,9 +500,7 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     worst_fwd = 0.0
     seen = set()
     for v in result.visits:
-        q = window(v.time)
-        d = dist_window(q, result.net[v.net_index], cfg)
-        f = dist_window_forward(q, result.net[v.net_index], cfg)
+        d, f = _window_dists(window(v.time), result.net[v.net_index], cfg)
         worst = max(worst, d)
         worst_fwd = max(worst_fwd, f)
         if d <= eps:

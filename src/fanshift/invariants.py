@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotDistinguished
-from .itinerary import address_value
-from .mahavier import cantor_chunk_start
+from .mahavier import chunk_x
 from .quotients import AParam, FanModel, build_fan, host_bundle
 
 
@@ -144,7 +143,7 @@ def leg_x(fan: FanModel, leg_index: int) -> float:
         raise ValueError(
             f"bundle {leg.bundle!r} has no planar chunk position"
         ) from exc
-    return cantor_chunk_start(k) + 3.0 ** (-k) * address_value(leg.address)
+    return chunk_x(k, leg.address)
 
 
 @dataclass

@@ -85,18 +85,9 @@ ALL_INFINITY = MPoint.all_infinity()
 
 def coords(p: MPoint, j: int) -> XPoint:
     """Coordinate at index j; consecutive coordinates are relation pairs."""
-    if p.is_all_infinity:
-        return INFINITY
-    if not (p.lo <= j <= p.hi + 1):
+    if not p.is_all_infinity and not (p.lo <= j <= p.hi + 1):
         raise IndexError(f"coordinate {j} outside window [{p.lo}, {p.hi + 1}]")
-    x = p.t0
-    if j >= 0:
-        for pos in range(0, j):
-            x = p.word.letter(pos).piece().apply(x)
-    else:
-        for pos in range(-1, j - 1, -1):
-            x = p.word.letter(pos).piece().invert(x)
-    return x
+    return coord_range(p, j, j)[0]
 
 
 def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
@@ -164,35 +155,28 @@ def extend(p: MPoint, letter: Letter, side: str) -> MPoint:
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float]:
+    """Two-sided and forward (j >= 0) maxima of the weighted gaps
+    dist(p_j, q_j) / 2^|j| over |j| <= N, from one trace of each point.
+
+    The forward walk of ``coord_range`` does not depend on its left end, so
+    the forward maximum equals the one taken over coordinates 0..N alone.
+    """
+    n = cfg.half_width
+    gaps = [
+        dist(a, b) / 2.0 ** abs(j)
+        for j, a, b in zip(range(-n, n + 1), coord_range(p, -n, n), coord_range(q, -n, n))
+    ]
+    return max(0.0, *gaps), max(0.0, *gaps[n:])
+
+
 def dist_window(p: MPoint, q: MPoint, cfg: WindowConfig = WindowConfig()) -> float:
     """Product metric evaluated over coordinates |j| <= N.
 
     Requires both windows to cover [-N, N]; the all-infinity point covers
     everything.  The discarded tail contributes at most 2^-(N+1).
     """
-    n = cfg.half_width
-    ps = coord_range(p, -n, n)
-    qs = coord_range(q, -n, n)
-    best = 0.0
-    for idx, (a, b) in enumerate(zip(ps, qs)):
-        j = idx - n
-        d = dist(a, b) / 2.0 ** abs(j)
-        if d > best:
-            best = d
-    return best
-
-
-def dist_window_forward(p: MPoint, q: MPoint, cfg: WindowConfig = WindowConfig()) -> float:
-    """One-sided variant of the product metric: coordinates 0..N only."""
-    n = cfg.half_width
-    ps = coord_range(p, 0, n)
-    qs = coord_range(q, 0, n)
-    best = 0.0
-    for j, (a, b) in enumerate(zip(ps, qs)):
-        d = dist(a, b) / 2.0**j
-        if d > best:
-            best = d
-    return best
+    return _window_dists(p, q, cfg)[0]
 
 
 def fiber_length(k: int) -> float:
@@ -228,19 +212,20 @@ def height(p: MPoint) -> float:
     return unpack(p)[1]
 
 
-def cantor_chunk_start(k: int) -> float:
-    """Left end of the k-th middle-third chunk: 1 - 3^(1-k)."""
-    return 1.0 - 3.0 ** (1 - k)
+def chunk_x(k: int, digits: str) -> float:
+    """Planar column of a {0,2}-address embedded in the k-th middle-third
+    chunk [1 - 3^(1-k), 1 - 3^(1-k) + 3^-k]."""
+    return 1.0 - 3.0 ** (1 - k) + 3.0 ** (-k) * address_value(digits)
 
 
 def model_map(p: MPoint, depth: int | None = None) -> tuple[float, float]:
     """Planar model coordinates (c, tau) of a window point.
 
     The itinerary address is embedded into the k-th middle-third chunk
-    [1 - 3^(1-k), 1 - 3^(1-k) + 3^-k] and the height is the slice
-    coordinate; the all-infinity point maps to (1, 0).  Words that agree on
-    the truncated window and share a base coordinate map to the same pair,
-    and distinct such data map to distinct pairs.
+    (``chunk_x``) and the height is the slice coordinate; the all-infinity
+    point maps to (1, 0).  Words that agree on the truncated window and
+    share a base coordinate map to the same pair, and distinct such data
+    map to distinct pairs.
     """
     if p.is_all_infinity:
         return (1.0, 0.0)
@@ -249,10 +234,7 @@ def model_map(p: MPoint, depth: int | None = None) -> tuple[float, float]:
         lo = max(p.lo, -depth)
         hi = min(p.hi, depth - 1)
         word = word.slice(lo, hi)
-    k = p.t0.k
-    digits = cantor_address(word)
-    c = cantor_chunk_start(k) + 3.0 ** (-k) * address_value(digits)
-    return (c, height(p))
+    return (chunk_x(p.t0.k, cantor_address(word)), height(p))
 
 
 def m_index(p: MPoint) -> int | None:

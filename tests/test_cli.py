@@ -144,6 +144,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "distinguish", "--kmax", "0"], None, "kmax must be >= 1"),
         (["verify", "orbit", "--eps", "nan"], None, "eps must be positive"),
         (["verify", "impression", "--eps", "nan"], None, "eps must be positive"),
+        (["verify", "orbit", "--u-cells", "0"], None, "u_cells must be >= 1"),
+        (["verify", "orbit", "--u-cells", "-3"], None, "u_cells must be >= 1"),
+        (["verify", "diam", "--kmax", "0"], None, "kmax must be >= 1"),
+        (["verify", "diam", "--kmax", "2", "--samples", "0"], None, "samples must be >= 1"),
     ],
     ids=[
         "report-path",
@@ -159,6 +163,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "distinguish-kmax-0",
         "orbit-eps-nan",
         "impression-eps-nan",
+        "orbit-u-cells-0",
+        "orbit-u-cells-neg",
+        "diam-kmax-0",
+        "diam-samples-0",
     ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):

@@ -9,11 +9,11 @@ from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
+    _window_dists,
     coord_range,
     coords,
     diagonal_point,
     dist_window,
-    dist_window_forward,
     extend,
     fiber_length,
     height,
@@ -200,12 +200,29 @@ def test_dist_window_truncation_error_bound():
         assert abs(d12 - d8) <= 2.0**-9
 
 
-def test_forward_distance_below_two_sided():
-    r = rng(6)
-    for _ in range(200):
-        p = random_window_point(r, 2, 8)
-        q = random_window_point(r, 2, 8)
-        assert dist_window_forward(p, q) <= dist_window(p, q) + 1e-15
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, q_at_infinity):
+    r = rng(seed)
+    p = random_window_point(r, kp, n + extra)
+    q = ALL_INFINITY if q_at_infinity else random_window_point(r, kq, n)
+    two_sided = forward = 0.0
+    for j in range(-n, n + 1):
+        gap = dist(coords(p, j), coords(q, j)) / 2.0 ** abs(j)
+        two_sided = max(two_sided, gap)
+        if j >= 0:
+            forward = max(forward, gap)
+    cfg = WindowConfig(n)
+    assert _window_dists(p, q, cfg) == (two_sided, forward)
+    assert dist_window(p, q, cfg) == two_sided
+    assert forward <= two_sided
 
 
 def test_pack_unpack_round_trip_exact():
