@@ -4,7 +4,6 @@ gluing diagonal arcs, and the endpoint-accumulation counts that tell the
 fans apart."""
 
 from .errors import (
-    DomainError,
     FanshiftError,
     HypothesisViolated,
     NotDistinguished,
@@ -26,7 +25,6 @@ __all__ = [
     "ALL_INFINITY",
     "AParam",
     "CPoint",
-    "DomainError",
     "FanModel",
     "FanshiftError",
     "Gluing",
@@ -43,6 +41,7 @@ __all__ = [
     "TruncationError",
     "WellDefinednessError",
     "WindowConfig",
+    "WindowExhausted",
     "Word",
     "XPoint",
     "__version__",

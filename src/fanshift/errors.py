@@ -5,10 +5,6 @@ class FanshiftError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(FanshiftError, ValueError):
-    """A point lies outside the domain of a partial map."""
-
-
 class RangeError(FanshiftError, ValueError):
     """A parameter lies outside its admissible range."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PathNotFound, ResourceCapExceeded
-from .itinerary import Letter, Word, iter_words
+from .itinerary import Letter, Word, iter_words, letters_with_domain
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -30,6 +30,10 @@ from .xspace import INFINITY, TOL, Tolerance, XPoint, dist, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
+# exponent steps (doublings, third-roots) of the two bending letters: the
+# square on interval 2 and the cube root on interval 1; every other letter
+# only translates
+_BENDS = {Letter(2, 2): (1, 0), Letter(1, 2): (0, 1)}
 
 
 def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoint]:
@@ -59,21 +63,9 @@ def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoin
     for _ in range(depth):
         nxt = []
         for k, m, n in frontier:
-            if interior:
-                if k == 1:
-                    steps = ((1, m, n + 1), (2, m, n))
-                elif k == 2:
-                    steps = ((1, m, n), (2, m + 1, n), (3, m, n))
-                else:
-                    steps = ((k - 1, m, n), (k + 1, m, n))
-            else:
-                if k == 1:
-                    steps = ((1, 0, 0), (2, 0, 0))
-                elif k == 2:
-                    steps = ((1, 0, 0), (3, 0, 0))
-                else:
-                    steps = ((k - 1, 0, 0), (k + 1, 0, 0))
-            for st in steps:
+            for lt in letters_with_domain(k):
+                dm, dn = _BENDS.get(lt, (0, 0)) if interior else (0, 0)
+                st = (lt.range_index, m + dm, n + dn)
                 if st not in seen:
                     seen.add(st)
                     if len(seen) > cap:
@@ -184,6 +176,8 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if k_cut < 1:
+        raise ValueError(f"k_cut must be >= 1, got {k_cut}")
     embeds = sorted(embed(p) for p in points)
     if not embeds:
         raise ValueError("need a nonempty sample set")
@@ -281,13 +275,13 @@ def build_net(
 def _pull_back(u: float, word: Word, upto: int) -> float:
     """Pull a position-0 coordinate back to the word's position ``upto``."""
     for pos in range(-1, upto - 1, -1):
-        u = word.letter(pos).piece().invert_u(u)
+        u = word.letter(pos).piece(u, inverse=True)
     return u
 
 
 def _push(u: float, letters) -> float:
     for lt in letters:
-        u = lt.piece().apply_u(u)
+        u = lt.piece(u)
     return u
 
 
@@ -378,7 +372,7 @@ def transitive_orbit_builder(
 
     def append(lt: Letter) -> None:
         letters.append(lt)
-        values.append(lt.piece().apply_u(values[-1]))
+        values.append(lt.piece(values[-1]))
         kinds.append(lt.range_index)
 
     def right_end() -> tuple[int, float]:

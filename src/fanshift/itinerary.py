@@ -1,9 +1,15 @@
 """Symbolic layer: the letter alphabet, admissible words, and addresses.
 
-A letter ``(ell, j)`` names the monotone piece with domain interval ``ell``
-and range interval ``ell + j - 2`` (j = 1 goes down, j = 2 stays, j = 3 goes
-up; on interval 1 the stay-letter is the cube root, on interval 2 it is the
-square).  ``(1, 1)`` is identified with ``(1, 2)``.  A word is admissible
+The letter table is the one derived encoding of the relation.  A letter
+``(ell, j)`` names the monotone piece with domain interval ``ell`` and range
+interval ``ell + j - 2`` (j = 1 goes down, j = 2 stays, j = 3 goes up; on
+interval 1 the stay-letter is the cube root, on interval 2 it is the square,
+and every other letter is the identity on the local coordinate); ``(1, 1)``
+is identified with ``(1, 2)``.  ``Letter.piece`` applies a letter to a local
+coordinate, and ``letters_with_domain``/``letters_with_range`` list the
+letters leaving and entering an interval; the relation's sections in
+``relations`` are read off this table, and its literal maps F1-F3 and
+``in_H`` are the oracle it is checked against.  A word is admissible
 when consecutive letters chain range into domain; the set of bi-infinite
 admissible itineraries through a fixed interval is a Cantor set, which the
 address codec below exhibits by embedding finite words into the middle-third
@@ -12,12 +18,13 @@ model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapExceeded
-from .relations import PieceMap
+from .xspace import cbrt
 
 ENUMERATION_CAP = 10**6
 
@@ -44,22 +51,18 @@ class Letter:
     def range_index(self) -> int:
         return self.ell + self.j - 2
 
-    def piece(self) -> PieceMap:
-        return _piece(self.ell, self.j)
+    def piece(self, u: float, inverse: bool = False) -> float:
+        """The letter's increasing bijection of [0, 1] on the local coordinate.
 
-
-@lru_cache(maxsize=None)
-def _piece(ell: int, j: int) -> PieceMap:
-    """The one shared (immutable) piece of the letter (ell, j)."""
-    if j == 1:
-        return PieceMap.down(ell)
-    if j == 3:
-        return PieceMap.up(ell)
-    if ell == 1:
-        return PieceMap.cube_root()
-    if ell == 2:
-        return PieceMap.square()
-    return PieceMap.ident(ell)
+        The cube root on (1, 2), the square on (2, 2), the identity on every
+        other letter; ``inverse`` applies the inverse map instead.
+        """
+        if self.j == 2:
+            if self.ell == 1:
+                return u * u * u if inverse else cbrt(u)
+            if self.ell == 2:
+                return math.sqrt(u) if inverse else u * u
+        return u
 
 
 @lru_cache(maxsize=None)

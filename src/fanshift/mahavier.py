@@ -104,12 +104,14 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     vals = {0: p.t0} if lo <= 0 <= hi else {}
     cur = p.t0
     for pos in range(0, hi):
-        cur = p.word.letter(pos).piece().apply(cur)
+        lt = p.word.letter(pos)
+        cur = XPoint(lt.range_index, lt.piece(cur.u))
         if pos + 1 >= lo:
             vals[pos + 1] = cur
     cur = p.t0
     for pos in range(-1, lo - 1, -1):
-        cur = p.word.letter(pos).piece().invert(cur)
+        lt = p.word.letter(pos)
+        cur = XPoint(lt.domain_index, lt.piece(cur.u, inverse=True))
         if pos <= hi:
             vals[pos] = cur
     return [vals[j] for j in range(lo, hi + 1)]
@@ -126,7 +128,8 @@ def shift(p: MPoint) -> MPoint:
         return p
     if p.hi < 1:
         raise WindowExhausted("no transition remains to the right of the origin")
-    new_t0 = p.word.letter(0).piece().apply(p.t0)
+    lt = p.word.letter(0)
+    new_t0 = XPoint(lt.range_index, lt.piece(p.t0.u))
     return MPoint(Word(p.word.letters, p.word.start - 1), new_t0)
 
 
@@ -136,7 +139,8 @@ def unshift(p: MPoint) -> MPoint:
         return p
     if p.lo > -1:
         raise WindowExhausted("no transition remains to the left of the origin")
-    new_t0 = p.word.letter(-1).piece().invert(p.t0)
+    lt = p.word.letter(-1)
+    new_t0 = XPoint(lt.domain_index, lt.piece(p.t0.u, inverse=True))
     return MPoint(Word(p.word.letters, p.word.start + 1), new_t0)
 
 

@@ -9,9 +9,13 @@ The relation consists of six families of pairs (x, y):
   * the identity over intervals k >= 3,
   * the fixed pair at infinity.
 
-Three total bijections F1, F2, F3 cover the relation with graphs; the same
-holds for their inverses.  ``decomposition_check`` verifies both covers by
-sampling.
+The sections ``h_image`` and ``h_preimage`` are read off the letter table of
+``itinerary``, the one derived encoding of the relation.  The three total
+bijections F1, F2, F3 (``global_apply``/``global_inverse``) and the
+membership test ``in_H`` spell the relation out literally instead; they are
+the independent oracle.  ``decomposition_check`` verifies by sampling that
+the letter-table sections equal the covers by the three graphs and by their
+inverses.
 """
 
 from __future__ import annotations
@@ -20,120 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .itinerary import letters_with_domain, letters_with_range
 from .xspace import INFINITY, TOL, Tolerance, XPoint, cbrt
-
-CUBE_ROOT = "cuberoot"
-SQUARE = "square"
-UP = "up"
-DOWN = "down"
-IDENT = "ident"
-INF_FIX = "inf"
-
-
-@dataclass(frozen=True)
-class PieceMap:
-    """One monotone building block of the relation.
-
-    Each piece is an increasing bijection from its domain interval onto its
-    range interval; ``k`` is the domain index for up/down/ident and is fixed
-    to 1 and 2 for the cube-root and squaring pieces.
-    """
-
-    kind: str
-    k: int = 0
-
-    def __post_init__(self):
-        if self.kind == CUBE_ROOT:
-            object.__setattr__(self, "k", 1)
-        elif self.kind == SQUARE:
-            object.__setattr__(self, "k", 2)
-        elif self.kind == UP:
-            if self.k < 1:
-                raise ValueError("up piece needs domain index >= 1")
-        elif self.kind == DOWN:
-            if self.k < 2:
-                raise ValueError("down piece needs domain index >= 2")
-        elif self.kind == IDENT:
-            if self.k < 3:
-                raise ValueError("identity piece needs domain index >= 3")
-        elif self.kind == INF_FIX:
-            object.__setattr__(self, "k", 0)
-        else:
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-
-    @classmethod
-    def cube_root(cls) -> "PieceMap":
-        return cls(CUBE_ROOT)
-
-    @classmethod
-    def square(cls) -> "PieceMap":
-        return cls(SQUARE)
-
-    @classmethod
-    def up(cls, k: int) -> "PieceMap":
-        return cls(UP, k)
-
-    @classmethod
-    def down(cls, k: int) -> "PieceMap":
-        return cls(DOWN, k)
-
-    @classmethod
-    def ident(cls, k: int) -> "PieceMap":
-        return cls(IDENT, k)
-
-    @classmethod
-    def inf_fix(cls) -> "PieceMap":
-        return cls(INF_FIX)
-
-    @property
-    def domain_index(self) -> int | None:
-        return None if self.kind == INF_FIX else self.k
-
-    @property
-    def range_index(self) -> int | None:
-        if self.kind == INF_FIX:
-            return None
-        if self.kind == UP:
-            return self.k + 1
-        if self.kind == DOWN:
-            return self.k - 1
-        return self.k
-
-    def apply_u(self, u: float) -> float:
-        """Action on the local coordinate (all pieces preserve [0, 1])."""
-        if self.kind == CUBE_ROOT:
-            return cbrt(u)
-        if self.kind == SQUARE:
-            return u * u
-        return u
-
-    def invert_u(self, u: float) -> float:
-        if self.kind == CUBE_ROOT:
-            return u * u * u
-        if self.kind == SQUARE:
-            return math.sqrt(u)
-        return u
-
-    def apply(self, x: XPoint) -> XPoint:
-        if self.kind == INF_FIX:
-            if not x.is_infinity:
-                raise DomainError("infinity piece applied to a finite point")
-            return INFINITY
-        if x.is_infinity or x.k != self.k:
-            raise DomainError(f"{x} outside domain interval {self.k} of {self.kind}")
-        return XPoint(self.range_index, self.apply_u(x.u))
-
-    def invert(self, y: XPoint) -> XPoint:
-        """Exact piecewise inverse; domain is the piece's range interval."""
-        if self.kind == INF_FIX:
-            if not y.is_infinity:
-                raise DomainError("infinity piece inverted at a finite point")
-            return INFINITY
-        if y.is_infinity or y.k != self.range_index:
-            raise DomainError(f"{y} outside range interval of {self.kind}")
-        return XPoint(self.k, self.invert_u(y.u))
-
 
 GLOBAL_MAPS = ("F1", "F2", "F3")
 
@@ -205,31 +97,28 @@ def in_H(x: XPoint, y: XPoint, tol: Tolerance = TOL) -> bool:
 
 
 def h_image(x: XPoint) -> tuple[XPoint, ...]:
-    """The section {y : (x, y) in the relation}, ordered by interval index.
+    """The section {y : (x, y) in the relation}, one image per letter
+    leaving x's interval, ordered by interval index.
 
     Cardinality is 2 on interval 1, 3 on intervals k >= 2, and 1 at
     infinity.
     """
     if x.is_infinity:
         return (INFINITY,)
-    k, u = x.k, x.u
-    if k == 1:
-        return (XPoint(1, cbrt(u)), XPoint(2, u))
-    if k == 2:
-        return (XPoint(1, u), XPoint(2, u * u), XPoint(3, u))
-    return (XPoint(k - 1, u), XPoint(k, u), XPoint(k + 1, u))
+    return tuple(
+        XPoint(lt.range_index, lt.piece(x.u)) for lt in letters_with_domain(x.k)
+    )
 
 
 def h_preimage(y: XPoint) -> tuple[XPoint, ...]:
-    """The inverse section {x : (x, y) in the relation}."""
+    """The inverse section {x : (x, y) in the relation}, one preimage per
+    letter entering y's interval."""
     if y.is_infinity:
         return (INFINITY,)
-    k, u = y.k, y.u
-    if k == 1:
-        return (XPoint(1, u * u * u), XPoint(2, u))
-    if k == 2:
-        return (XPoint(1, u), XPoint(2, math.sqrt(u)), XPoint(3, u))
-    return (XPoint(k - 1, u), XPoint(k, u), XPoint(k + 1, u))
+    return tuple(
+        XPoint(lt.domain_index, lt.piece(y.u, inverse=True))
+        for lt in letters_with_range(y.k)
+    )
 
 
 def _as_key_set(points, eps):

@@ -4,12 +4,7 @@ import math
 import random
 
 from fanshift.invariants import leg_x
-from fanshift.itinerary import (
-    Letter,
-    letters_with_domain,
-    letters_with_range,
-    random_word,
-)
+from fanshift.itinerary import letters_with_domain, random_word
 from fanshift.mahavier import MPoint
 from fanshift.xspace import INFINITY, XPoint
 
@@ -72,9 +67,7 @@ __all__ = [
     "arc_sample",
     "fan_point_dist",
     "hausdorff_dist",
-    "Letter",
     "letters_with_domain",
-    "letters_with_range",
     "random_letter",
     "random_letter_chain",
     "random_mpoint",

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import jsonschema
@@ -148,6 +147,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "orbit", "--u-cells", "-3"], None, "u_cells must be >= 1"),
         (["verify", "diam", "--kmax", "0"], None, "kmax must be >= 1"),
         (["verify", "diam", "--kmax", "2", "--samples", "0"], None, "samples must be >= 1"),
+        (["verify", "impression", "--k-cut", "0"], None, "k_cut must be >= 1"),
+        (["verify", "impression", "--k-cut", "-4"], None, "k_cut must be >= 1"),
     ],
     ids=[
         "report-path",
@@ -167,6 +168,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "orbit-u-cells-neg",
         "diam-kmax-0",
         "diam-samples-0",
+        "impression-k-cut-0",
+        "impression-k-cut-neg",
     ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):

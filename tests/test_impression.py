@@ -20,18 +20,67 @@ from fanshift.impression import (
     witness_path,
 )
 from fanshift.itinerary import is_admissible
-from fanshift.mahavier import MPoint, WindowConfig, coord_range, dist_window
-from fanshift.relations import h_image, in_H
-from fanshift.xspace import INFINITY, XPoint, dist, embed
-
-from _util import rng
+from fanshift.mahavier import WindowConfig, coord_range, dist_window
+from fanshift.relations import GLOBAL_MAPS, global_apply, h_image, in_H
+from fanshift.xspace import INFINITY, XPoint
 
 
 def apply_path(x: XPoint, path) -> XPoint:
-    """Apply each letter's piece in turn: the oracle for witness paths."""
+    """Step x along each letter through the literal maps F1-F3: the oracle
+    for witness paths.
+
+    The image under a letter is the one among F1(x), F2(x), F3(x) that lands
+    on the letter's range interval, so ``Letter.piece`` is not used.
+    """
     for lt in path:
-        x = lt.piece().apply(x)
+        assert x.k == lt.domain_index
+        images = {global_apply(name, x) for name in GLOBAL_MAPS}
+        (x,) = [y for y in images if y.k == lt.range_index]
     return x
+
+
+def _reachable_reference(s: XPoint, depth: int) -> set[XPoint]:
+    """Verbatim copy of the explicit step tables ``forward_reachable`` used
+    before it read its steps off the letter table; the oracle for it."""
+    if s.is_infinity:
+        return {INFINITY}
+
+    u0 = s.u
+    interior = 0.0 < u0 < 1.0
+
+    def value(m: int, n: int) -> float:
+        if not interior:
+            return u0
+        return u0 ** (2.0**m / 3.0**n)
+
+    start = (s.k, 0, 0)
+    seen = {start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for k, m, n in frontier:
+            if interior:
+                if k == 1:
+                    steps = ((1, m, n + 1), (2, m, n))
+                elif k == 2:
+                    steps = ((1, m, n), (2, m + 1, n), (3, m, n))
+                else:
+                    steps = ((k - 1, m, n), (k + 1, m, n))
+            else:
+                if k == 1:
+                    steps = ((1, 0, 0), (2, 0, 0))
+                elif k == 2:
+                    steps = ((1, 0, 0), (3, 0, 0))
+                else:
+                    steps = ((k - 1, 0, 0), (k + 1, 0, 0))
+            for st in steps:
+                if st not in seen:
+                    seen.add(st)
+                    nxt.append(st)
+        frontier = nxt
+        if not frontier:
+            break
+    return {XPoint(k, value(m, n)) for k, m, n in seen}
 
 
 def test_reachable_from_infinity():
@@ -55,10 +104,24 @@ def test_reachable_monotone_in_depth():
         prev = cur
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [XPoint(k, 0.37) for k in (1, 2, 3, 5)]
+    + [XPoint(k, u) for k in (1, 2, 3) for u in (0.0, 1.0)],
+    ids=str,
+)
+def test_reachable_matches_explicit_step_tables(seed):
+    for depth in range(11):
+        assert forward_reachable(seed, depth) == _reachable_reference(seed, depth)
+
+
 def test_reachable_from_endpoint_seed():
     # endpoint coordinates are fixed by every bending step
     got = forward_reachable(XPoint(1, 0.0), 4)
     assert all(p.u == 0.0 for p in got)
+    # their exponent keys stay pinned at (k, 0, 0): depth 10 visits only
+    # intervals 1..11, so 11 keys fit under the cap
+    assert len(forward_reachable(XPoint(1, 1.0), 10, cap=11)) == 11
 
 
 def test_symbolic_family_seed_and_values():

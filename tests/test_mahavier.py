@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import RangeError, WindowExhausted
-from fanshift.itinerary import Letter, Word, letters_with_domain, random_word
+from fanshift.itinerary import Letter, Word, random_word
 from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,

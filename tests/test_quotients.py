@@ -9,14 +9,13 @@ from fanshift.errors import (
     WellDefinednessError,
 )
 from fanshift.invariants import leg_x
-from fanshift.itinerary import Letter, Word, random_word
+from fanshift.itinerary import random_word
 from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,
     diagonal_point,
     fiber_length,
     height,
-    model_map,
     pack,
     shift,
     unshift,

@@ -1,11 +1,8 @@
 import math
 
-import pytest
-
-from fanshift.errors import DomainError
+from fanshift.itinerary import Letter
 from fanshift.relations import (
     GLOBAL_MAPS,
-    PieceMap,
     decomposition_check,
     global_apply,
     global_inverse,
@@ -19,49 +16,34 @@ from _util import random_xpoint, rng
 
 
 def test_piece_apply_examples():
-    assert PieceMap.cube_root().apply(XPoint(1, 0.125)) == XPoint(1, 0.5)
-    assert PieceMap.square().apply(XPoint(2, 0.5)) == XPoint(2, 0.25)
-    assert PieceMap.up(3).apply(XPoint(3, 0.3)) == XPoint(4, 0.3)
-
-
-def test_piece_domain_errors():
-    with pytest.raises(DomainError):
-        PieceMap.cube_root().apply(XPoint(2, 0.5))
-    with pytest.raises(DomainError):
-        PieceMap.inf_fix().apply(XPoint(1, 0.5))
-    with pytest.raises(ValueError):
-        PieceMap.down(1)
-    with pytest.raises(ValueError):
-        PieceMap.ident(2)
+    for lt, u, image in (
+        (Letter(1, 2), 0.125, XPoint(1, 0.5)),
+        (Letter(2, 2), 0.5, XPoint(2, 0.25)),
+        (Letter(3, 3), 0.3, XPoint(4, 0.3)),
+    ):
+        assert XPoint(lt.range_index, lt.piece(u)) == image
 
 
 def test_piece_inverse_round_trip():
     r = rng(0)
-    pieces = [
-        PieceMap.cube_root(),
-        PieceMap.square(),
-        PieceMap.up(2),
-        PieceMap.down(4),
-        PieceMap.ident(5),
-    ]
-    for piece in pieces:
+    letters = [Letter(1, 2), Letter(2, 2), Letter(2, 3), Letter(4, 1), Letter(5, 2)]
+    for lt in letters:
         for _ in range(200):
-            x = XPoint(piece.domain_index, r.random())
-            y = piece.apply(x)
-            back = piece.invert(y)
-            assert back.k == x.k
-            assert math.isclose(back.u, x.u, rel_tol=1e-12, abs_tol=1e-12)
+            u = r.random()
+            back = lt.piece(lt.piece(u), inverse=True)
+            assert math.isclose(back, u, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_pieces_preserve_strict_order():
     r = rng(1)
-    pieces = [PieceMap.cube_root(), PieceMap.square(), PieceMap.up(1), PieceMap.down(3)]
-    for piece in pieces:
+    letters = [Letter(1, 2), Letter(2, 2), Letter(1, 3), Letter(3, 1)]
+    for lt in letters:
         for _ in range(200):
             u, v = sorted((r.random(), r.random()))
             if u == v:
                 continue
-            assert piece.apply_u(u) < piece.apply_u(v)
+            assert lt.piece(u) < lt.piece(v)
+            assert lt.piece(u, inverse=True) < lt.piece(v, inverse=True)
 
 
 def test_in_H_examples():
