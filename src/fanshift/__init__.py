@@ -17,7 +17,7 @@ from .errors import (
 from .itinerary import Letter, Word
 from .mahavier import ALL_INFINITY, MPoint, WindowConfig
 from .quotients import AParam, CPoint, FanModel, Gluing, Leg
-from .xspace import INFINITY, Tolerance, XPoint
+from .xspace import INFINITY, XPoint
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "PathNotFound",
     "RangeError",
     "ResourceCapExceeded",
-    "Tolerance",
     "TruncationError",
     "WellDefinednessError",
     "WindowConfig",

@@ -211,6 +211,8 @@ def _run_hlavna(**_):
 
 @_command("quotient", ("a", AParam.parse, AParam((2, 4))), ("samples", int, 1000))
 def _run_quotient(a, samples, seed):
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     witnesses = []
     try:

@@ -26,7 +26,7 @@ from .mahavier import (
     coord_range,
     dist_window,
 )
-from .xspace import INFINITY, TOL, Tolerance, XPoint, dist, embed
+from .xspace import INFINITY, XPoint, dist, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
@@ -342,7 +342,6 @@ def transitive_orbit_builder(
     u_cells: int = 12,
     net: list[MPoint] | None = None,
     tries: int = 600,
-    tol: Tolerance = TOL,
 ) -> OrbitResult:
     """Assemble one finite orbit whose windows pass near every net element.
 
@@ -435,7 +434,9 @@ def transitive_orbit_builder(
         v_target = _pull_back(u_q, word, -n)
 
         found = False
+        tried = 0
         for m, n_steps in _steer_candidates(u_cur, v_target, tries):
+            tried += 1
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
             v = _push(u_cur, conn)
             u0_vis = _push(v, (word.letter(pos) for pos in range(-n, 0)))
@@ -462,8 +463,10 @@ def transitive_orbit_builder(
                 break
         if not found:
             raise PathNotFound(
-                f"no connector reached net element {oi} within eps; "
-                "raise tries or the exponent lattice"
+                f"no connector reached net element {oi} (d_left = {d_left}, "
+                f"pull-back target {v_target!r}) within eps: the exponent "
+                f"candidates inside INTERIOR_GUARD = {INTERIOR_GUARD:g} ran out "
+                f"after {tried} tries"
             )
 
     point = MPoint(Word(tuple(letters), -n), XPoint(kinds[n], values[n]))

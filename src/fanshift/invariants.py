@@ -111,11 +111,13 @@ def distinguish(
         raise NotDistinguished(
             "parameters agree on every modeled coordinate; raise kmax"
         )
-    k = next(
-        pos
-        for pos in range(1, min(len(ta), len(tb)) + 1)
-        if ta[pos] != tb[pos]
-    )
+    shared = min(len(ta), len(tb))
+    k = next((pos for pos in range(1, shared + 1) if ta[pos] != tb[pos]), None)
+    if k is None:
+        raise NotDistinguished(
+            f"parameters agree on their {shared} shared coordinates and "
+            f"coordinate {shared + 1} is unmodeled in the shorter one"
+        )
     kmax_bundle = host_bundle(kmax) + 2 * kmax
     pa = _cached_profile(ta.coords, kmax_bundle, depth)
     pb = _cached_profile(tb.coords, kmax_bundle, depth)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import RangeError, WindowExhausted
 from .itinerary import Letter, Word, address_value, cantor_address
-from .xspace import INFINITY, TOL, Tolerance, XPoint, dist
+from .xspace import INFINITY, XPoint, dist
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,18 @@ def fiber_length(k: int) -> float:
     return 2.0 ** (1 - 2 * k)
 
 
-def pack(word: Word, t: float, tol: Tolerance = TOL) -> MPoint:
+def pack(word: Word, t: float) -> MPoint:
     """Build the point of the k-slice at height t over the given itinerary.
 
     The slice through interval k is a product of the itinerary Cantor set
     with [0, 2^(1-2k)]; the base coordinate is u0 = t * 2^(2k-1), an exact
-    power-of-two rescale.
+    power-of-two rescale, so a height in [0, 2^(1-2k)] lands in [0, 1].
     """
     k = word.domain_at(0)
     top = fiber_length(k)
-    if t < -tol.eps_eq or t > top + tol.eps_eq:
+    if not 0.0 <= t <= top:
         raise RangeError(f"height {t} outside [0, {top}]")
-    u0 = min(1.0, max(0.0, t * 2.0 ** (2 * k - 1)))
-    return MPoint(word, XPoint(k, u0))
+    return MPoint(word, XPoint(k, t * 2.0 ** (2 * k - 1)))
 
 
 def unpack(p: MPoint) -> tuple[Word, float]:

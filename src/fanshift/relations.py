@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from .itinerary import letters_with_domain, letters_with_range
-from .xspace import INFINITY, TOL, Tolerance, XPoint, cbrt
+from .xspace import INFINITY, ROUNDTRIP_EPS, XPoint, cbrt
 
 GLOBAL_MAPS = ("F1", "F2", "F3")
 
@@ -78,11 +78,15 @@ def global_inverse(name: str, y: XPoint) -> XPoint:
     return XPoint(k - 1, u) if k % 2 == 1 else XPoint(k + 1, u)
 
 
-def in_H(x: XPoint, y: XPoint, tol: Tolerance = TOL) -> bool:
-    """Membership of (x, y) in the relation, up to tolerance in u."""
+def in_H(x: XPoint, y: XPoint) -> bool:
+    """Membership of (x, y) in the relation, up to ``ROUNDTRIP_EPS`` in u.
+
+    The slack lets a pair built through an inverse piece (a preimage)
+    still read as a member.
+    """
     if x.is_infinity or y.is_infinity:
         return x.is_infinity and y.is_infinity
-    eps = tol.eps_eq
+    eps = ROUNDTRIP_EPS
     if y.k == x.k + 1 and abs(y.u - x.u) <= eps:
         return True
     if x.k >= 2 and y.k == x.k - 1 and abs(y.u - x.u) <= eps:
@@ -121,22 +125,6 @@ def h_preimage(y: XPoint) -> tuple[XPoint, ...]:
     )
 
 
-def _as_key_set(points, eps):
-    """Canonical sorted tuple for set comparison up to tolerance."""
-    out = []
-    for p in sorted(points, key=lambda q: (q.k is None, q.k or 0, q.u)):
-        if out and _same(out[-1], p, eps):
-            continue
-        out.append(p)
-    return tuple(out)
-
-
-def _same(a, b, eps):
-    if a.is_infinity or b.is_infinity:
-        return a.is_infinity and b.is_infinity
-    return a.k == b.k and abs(a.u - b.u) <= eps
-
-
 @dataclass
 class DecompositionReport:
     """Outcome of the graph-cover check, serializable for CLI reports."""
@@ -161,19 +149,22 @@ def decomposition_check(
     kmax: int,
     samples_per_interval: int,
     seed: int = 0,
-    tol: Tolerance = TOL,
 ) -> DecompositionReport:
     """Verify that the relation equals the union of the three graphs.
 
     For sampled x with interval index <= kmax (plus infinity), the section
     of the relation must equal {F1(x), F2(x), F3(x)} as a set, and the
     inverse section must equal the set of the three inverse images.
-    Duplicates collapse on interval 1, where F1 and F3 agree.
+    Duplicates collapse on interval 1, where F1 and F3 agree.  Both sides
+    evaluate the same float expressions, so the sets are compared exactly.
+    The two endpoints of each interval count among its samples, so
+    ``samples_per_interval`` must be at least 2.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if samples_per_interval < 2:
+        raise ValueError("samples_per_interval must be >= 2 (the two endpoints)")
     rng = random.Random(seed)
-    eps = tol.eps_eq
     checked = 0
 
     def sample_points():
@@ -181,15 +172,11 @@ def decomposition_check(
         for k in range(1, kmax + 1):
             yield XPoint(k, 0.0)
             yield XPoint(k, 1.0)
-            for _ in range(max(0, samples_per_interval - 2)):
+            for _ in range(samples_per_interval - 2):
                 yield XPoint(k, rng.random())
 
     for x in sample_points():
-        forward = _as_key_set(h_image(x), eps)
-        cover = _as_key_set((global_apply(n, x) for n in GLOBAL_MAPS), eps)
-        if len(forward) != len(cover) or any(
-            not _same(a, b, eps) for a, b in zip(forward, cover)
-        ):
+        if set(h_image(x)) != {global_apply(n, x) for n in GLOBAL_MAPS}:
             return DecompositionReport(
                 False,
                 checked,
@@ -199,11 +186,7 @@ def decomposition_check(
                     "side": "forward",
                 },
             )
-        backward = _as_key_set(h_preimage(x), eps)
-        inv_cover = _as_key_set((global_inverse(n, x) for n in GLOBAL_MAPS), eps)
-        if len(backward) != len(inv_cover) or any(
-            not _same(a, b, eps) for a, b in zip(backward, inv_cover)
-        ):
+        if set(h_preimage(x)) != {global_inverse(n, x) for n in GLOBAL_MAPS}:
             return DecompositionReport(
                 False,
                 checked,

@@ -147,6 +147,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "orbit", "--u-cells", "-3"], None, "u_cells must be >= 1"),
         (["verify", "diam", "--kmax", "0"], None, "kmax must be >= 1"),
         (["verify", "diam", "--kmax", "2", "--samples", "0"], None, "samples must be >= 1"),
+        (["verify", "decomposition", "--samples", "-3"], None, "samples_per_interval must be >= 2"),
+        (["verify", "decomposition", "--samples", "1"], None, "samples_per_interval must be >= 2"),
+        (["verify", "quotient", "--samples", "-5"], None, "samples must be >= 1"),
+        (["verify", "quotient", "--samples", "0"], None, "samples must be >= 1"),
         (["verify", "impression", "--k-cut", "0"], None, "k_cut must be >= 1"),
         (["verify", "impression", "--k-cut", "-4"], None, "k_cut must be >= 1"),
     ],
@@ -168,6 +172,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "orbit-u-cells-neg",
         "diam-kmax-0",
         "diam-samples-0",
+        "decomposition-samples-neg",
+        "decomposition-samples-1",
+        "quotient-samples-neg",
+        "quotient-samples-0",
         "impression-k-cut-0",
         "impression-k-cut-neg",
     ],
@@ -344,3 +352,21 @@ def test_verify_error_reported_as_failure(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["witnesses"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--a", "1,3", "--b", "1"],
+        ["--a", "1", "--b", "1,4", "--kmax", "3"],
+    ],
+    ids=["longer-first", "longer-second"],
+)
+def test_verify_distinguish_unmodeled_coordinate_is_a_failure(argv, capsys):
+    code = main(["verify", "distinguish", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["pass"] is False
+    assert "coordinate 2 is unmodeled" in report["witnesses"][0]["error"]

@@ -254,6 +254,17 @@ def test_orbit_unreachable_raises():
         transitive_orbit_builder(1e-9, cfg, net=net, tries=5)
 
 
+def test_orbit_failure_names_the_interior_guard():
+    # the known frontier: element 65 needs a pull-back to 0, which the guard
+    # keeps every candidate away from
+    with pytest.raises(PathNotFound) as exc:
+        transitive_orbit_builder(0.0625, WindowConfig(2))
+    msg = str(exc.value)
+    assert "net element 65 (d_left = 1," in msg
+    assert "inside INTERIOR_GUARD = 1e-14 ran out" in msg
+    assert "raise tries" not in msg
+
+
 # ---------------------------------------------------------------------------
 # Steering: the lazy walk against a brute-force ranking of the whole lattice
 # ---------------------------------------------------------------------------

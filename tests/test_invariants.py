@@ -138,6 +138,12 @@ def test_distinguish_requires_difference():
         distinguish(AParam((1, 3)), AParam((1, 4)), 1, 3)  # differ beyond kmax
 
 
+def test_distinguish_names_the_unmodeled_coordinate():
+    for a, b, kmax in (((1, 3), (1,), 2), ((1,), (1, 4), 3)):
+        with pytest.raises(NotDistinguished, match="coordinate 2 is unmodeled"):
+            distinguish(AParam(a), AParam(b), kmax, 3)
+
+
 def test_hausdorff_examples():
     assert hausdorff_dist([(0.0, 0.0)], [(0.0, 0.0)]) == 0.0
     assert hausdorff_dist([(0.0,)], [(1.0,)]) == 1.0

@@ -62,6 +62,9 @@ def test_cpoint_canonicalizes_address():
     assert CPoint("", 0.25).c == 0.0
     with pytest.raises(ValueError):
         CPoint("21", 0.5)
+    for t in (1.0 + 1e-13, -1e-13):
+        with pytest.raises(ValueError):
+            CPoint("2", t)
     # the cached address value stays out of equality, hashing and repr
     p = CPoint("202", 0.5)
     assert p.c == CPoint("202", 0.5).c
@@ -305,6 +308,22 @@ def test_sim_a_guest_guest_closure():
     assert sim_a(g1, g2, a)
 
 
+def test_top_class_is_exactly_height_zero():
+    for k in (1, 2, 3):
+        w = random_word(rng(11), k, left=8, right=8)
+        assert not in_top_class(pack(w, 1e-14 * fiber_length(k)))
+
+
+def test_sim_a_separates_heights_one_ulp_apart():
+    a = AParam((2,))
+    x, y = glued_pair(1, 1, 0.3)
+    y_up = MPoint(y.word, XPoint(y.t0.k, math.nextafter(y.t0.u, 1.0)))
+    assert sim_a(x, y, a)
+    assert height(y_up) != height(x)
+    assert not sim_a(x, y_up, a)
+    assert not sim_a(y, y_up, a)
+
+
 def test_sim_a_height_mismatch():
     a = AParam((2,))
     x, _ = glued_pair(1, 1, 0.3)
@@ -357,12 +376,12 @@ def test_shift_compatibility_of_equivalence():
 
 def test_descend_shift_passes_and_fixes_diagonals():
     a = AParam((2, 4))
-    cm = descend(shift, a, rng=rng(8), pairs=100)
+    descend(shift, a, rng=rng(8), pairs=100)
     for j in (3, 4, 6, 10):
         p = diagonal_point(j, 0.4)
-        assert cm.same_class(cm.apply(p), p)
+        assert sim_a(shift(p), p, a)
     zero = pack(random_word(rng(9), 2, left=8, right=8), 0.0)
-    assert cm.same_class(cm.apply(zero), ALL_INFINITY)
+    assert sim_a(shift(zero), ALL_INFINITY, a)
 
 
 def test_descend_rejects_incompatible_map():

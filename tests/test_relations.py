@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from fanshift import relations
 from fanshift.itinerary import Letter
 from fanshift.relations import (
     GLOBAL_MAPS,
@@ -147,6 +150,33 @@ def test_decomposition_check_passes():
 def test_decomposition_check_infinity_case():
     images = {global_apply(n, INFINITY) for n in GLOBAL_MAPS}
     assert images == set(h_image(INFINITY)) == {INFINITY}
+
+
+def _one_ulp_off(section):
+    """The section with its first point moved one ulp toward the middle."""
+
+    def shifted(x):
+        first, *rest = section(x)
+        if first.is_infinity:
+            return (first, *rest)
+        return (XPoint(first.k, math.nextafter(first.u, 0.5)), *rest)
+
+    return shifted
+
+
+@pytest.mark.parametrize("name, side", [("h_image", "forward"), ("h_preimage", "inverse")])
+def test_decomposition_check_fails_one_ulp_off(name, side, monkeypatch):
+    monkeypatch.setattr(relations, name, _one_ulp_off(getattr(relations, name)))
+    rep = decomposition_check(2, 10, seed=0)
+    assert not rep.passed
+    assert rep.first_counterexample["side"] == side
+
+
+def test_decomposition_check_counts_both_endpoints():
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError, match="samples_per_interval must be >= 2"):
+            decomposition_check(2, samples)
+    assert decomposition_check(2, 2).samples_checked == 2 * 2 + 1
 
 
 def test_decomposition_report_serializable():

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its test suite imports a name it never uses.
 
 A stdlib ``ast`` scan: every name an ``import`` binds must be read somewhere
 in the module, as a name, as the base of an attribute, inside a quoted
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fanshift"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fanshift"
+TESTS = ROOT / "tests"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,6 +59,7 @@ def test_scan_finds_unused_imports():
 
 def test_package_modules_found():
     assert SRC / "__init__.py" in MODULES and len(MODULES) >= 10
+    assert Path(__file__).resolve() in MODULES
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

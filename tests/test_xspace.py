@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from fanshift.xspace import (
     INFINITY,
-    Tolerance,
     XPoint,
     cbrt,
     dist,
@@ -84,23 +83,12 @@ def test_infinity_is_supremum():
         assert embed(x) < 1.0
 
 
-def test_construction_clamps_tiny_excess():
-    x = XPoint(2, 1.0 + 1e-13)
-    assert x.u == 1.0
-    y = XPoint(2, -1e-13)
-    assert y.u == 0.0
-
-
 def test_construction_rejects_large_excess():
-    with pytest.raises(ValueError):
-        XPoint(2, 1.01)
+    for u in (1.01, 1.0 + 1e-13, -1e-13):
+        with pytest.raises(ValueError):
+            XPoint(2, u)
     with pytest.raises(ValueError):
         XPoint(0, 0.5)
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(0.0)
 
 
 def test_cbrt_exact_on_exact_cubes():
