@@ -83,10 +83,15 @@ def test_infinity_is_supremum():
         assert embed(x) < 1.0
 
 
-def test_construction_rejects_large_excess():
-    for u in (1.01, 1.0 + 1e-13, -1e-13):
+def test_construction_rejects_tiny_excess():
+    for u in (1.0 + 1e-13, -1e-13):
         with pytest.raises(ValueError):
             XPoint(2, u)
+
+
+def test_construction_rejects_large_excess():
+    with pytest.raises(ValueError):
+        XPoint(2, 1.01)
     with pytest.raises(ValueError):
         XPoint(0, 0.5)
 
