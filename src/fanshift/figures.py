@@ -237,7 +237,9 @@ def render_figure(
     seed: int = 0,
     a: AParam | None = None,
 ) -> str:
-    """Dispatch on figure id; unknown ids raise ValueError."""
+    """Dispatch on figure id; unknown ids and a depth below 1 raise ValueError."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if figure_id == "fig1":
         return fig_cantor_fan(depth or 6)
     if figure_id == "fig2":

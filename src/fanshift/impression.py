@@ -134,6 +134,10 @@ def symbolic_family(
     ) else t_base
     if not 0 < t < 1:
         raise ValueError("seed coordinate must lie strictly between 0 and 1")
+    box = (("m_max", m_max, 0), ("n_max", n_max, 0), ("k_max", k_max, 1))
+    for name, value, least in box:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     out = []
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):

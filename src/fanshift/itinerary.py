@@ -27,6 +27,8 @@ from .errors import ResourceCapExceeded
 from .xspace import cbrt
 
 ENUMERATION_CAP = 10**6
+# words per expanded slice in cantor_certificate's level walk
+_LEVEL_SLICE = 1024
 
 
 @dataclass(frozen=True, order=True)
@@ -110,6 +112,15 @@ class Word:
         if not is_admissible(self.letters):
             raise ValueError("letters do not chain admissibly")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...], start: int) -> "Word":
+        """A word over letters already known to chain, e.g. a run of an
+        existing word; skips the admissibility check."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "start", start)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -137,7 +148,7 @@ class Word:
         """Sub-word covering transitions lo..hi inclusive."""
         if lo < self.start or hi >= self.stop or lo > hi:
             raise IndexError("slice outside word span")
-        return Word(self.letters[lo - self.start : hi - self.start + 1], lo)
+        return Word._trusted(self.letters[lo - self.start : hi - self.start + 1], lo)
 
 
 def iter_words(
@@ -235,31 +246,38 @@ def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertifi
     records the two-sided branching; a minimum of 2 on both sides means no
     cylinder of depth n contains an isolated itinerary.  Word counts per
     length are tallied and compared against the branching recurrence.
+
+    The walk goes level by level: a level is a list holding one entry per
+    word, the range index of its final letter, and the next level lists
+    each word's one-letter extensions.  Levels are expanded in slices of
+    ``_LEVEL_SLICE`` words, depth first, so memory stays flat at any depth.
     """
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
+    # succ[r]: range indices of the letters leaving interval r; a word of
+    # length <= n through k never ends beyond interval k + n
+    succ = [()] + [
+        tuple(lt.range_index for lt in letters_with_domain(r))
+        for r in range(1, k + n + 1)
+    ]
     counts = [0] * n
-    min_right = 3
-    min_left = min(min_right, len(letters_with_range(k)))
-    visited = 0
+    reached: set[int] = set()
 
-    # Iterative DFS over the tree of right-growing words; each node is a
-    # word of length == depth, so per-length tallies fall out of the walk.
-    stack: list[tuple[int, int]] = [(lt.range_index, 1) for lt in letters_with_domain(k)]
-    while stack:
-        rng, depth = stack.pop()
-        visited += 1
-        if visited > cap:
+    def walk(level: list[int], depth: int) -> None:
+        counts[depth - 1] += len(level)
+        if sum(counts) > cap:
             raise ResourceCapExceeded(
                 f"certificate walk (k={k}, n={n}) exceeded cap {cap}"
             )
-        counts[depth - 1] += 1
-        succ = letters_with_domain(rng)
-        if len(succ) < min_right:
-            min_right = len(succ)
+        reached.update(level)
         if depth < n:
-            for lt in succ:
-                stack.append((lt.range_index, depth + 1))
+            for i in range(0, len(level), _LEVEL_SLICE):
+                part = level[i : i + _LEVEL_SLICE]
+                walk([r2 for r in part for r2 in succ[r]], depth + 1)
+
+    walk(list(succ[k]), 1)
+    min_right = min(len(succ[r]) for r in reached)
+    min_left = len(letters_with_range(k))
 
     expected = count_words_recurrence(k, n)
     passed = min_right >= 2 and min_left >= 2 and counts == expected
@@ -269,7 +287,7 @@ def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertifi
         max_length=n,
         min_right_branching=min_right,
         min_left_branching=min_left,
-        words_checked=visited,
+        words_checked=sum(counts),
         counts_by_length=counts,
         recurrence_counts=expected,
     )

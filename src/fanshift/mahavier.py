@@ -130,7 +130,7 @@ def shift(p: MPoint) -> MPoint:
         raise WindowExhausted("no transition remains to the right of the origin")
     lt = p.word.letter(0)
     new_t0 = XPoint(lt.range_index, lt.piece(p.t0.u))
-    return MPoint(Word(p.word.letters, p.word.start - 1), new_t0)
+    return MPoint(Word._trusted(p.word.letters, p.word.start - 1), new_t0)
 
 
 def unshift(p: MPoint) -> MPoint:
@@ -141,7 +141,7 @@ def unshift(p: MPoint) -> MPoint:
         raise WindowExhausted("no transition remains to the left of the origin")
     lt = p.word.letter(-1)
     new_t0 = XPoint(lt.domain_index, lt.piece(p.t0.u, inverse=True))
-    return MPoint(Word(p.word.letters, p.word.start + 1), new_t0)
+    return MPoint(Word._trusted(p.word.letters, p.word.start + 1), new_t0)
 
 
 def extend(p: MPoint, letter: Letter, side: str) -> MPoint:

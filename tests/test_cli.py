@@ -153,6 +153,9 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "quotient", "--samples", "0"], None, "samples must be >= 1"),
         (["verify", "impression", "--k-cut", "0"], None, "k_cut must be >= 1"),
         (["verify", "impression", "--k-cut", "-4"], None, "k_cut must be >= 1"),
+        (["verify", "impression", "--m-max", "-1"], None, "m_max must be >= 0"),
+        (["verify", "impression", "--n-max", "-1"], None, "n_max must be >= 0"),
+        (["verify", "impression", "--k-max", "0"], None, "k_max must be >= 1"),
     ],
     ids=[
         "report-path",
@@ -178,6 +181,9 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "quotient-samples-0",
         "impression-k-cut-0",
         "impression-k-cut-neg",
+        "impression-m-max-neg",
+        "impression-n-max-neg",
+        "impression-k-max-0",
     ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):
@@ -233,6 +239,26 @@ def test_failure_report_keeps_its_parameters(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["witnesses"][0]["error"] == "PathNotFound"
     assert report["params"] == {"eps": 0.0625, "window": 2, "u_cells": 12, "seed": 0}
+
+
+def test_cantor_cap_failure_report(tmp_path):
+    # depth 30 through interval 1 needs far more than the 4,000,000-word cap
+    report_path = tmp_path / "cantor.json"
+    assert main(["verify", "cantor", "--depth", "30", "--report", str(report_path)]) == 1
+    assert json.loads(report_path.read_text()) == {
+        "extra": {},
+        "name": "cantor",
+        "params": {"depth": 30, "kmax": 8, "seed": 0},
+        "pass": False,
+        "schema_version": SCHEMA_VERSION,
+        "timings": {},
+        "witnesses": [
+            {
+                "error": "ResourceCapExceeded",
+                "message": "certificate walk (k=1, n=30) exceeded cap 4000000",
+            }
+        ],
+    }
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -307,6 +333,18 @@ def test_render_all_figures(tmp_path):
         out = tmp_path / f"{fig}.svg"
         assert main(["render", fig, "--out", str(out), "--depth", "4"]) == 0
         assert out.stat().st_size > 200
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "glue"])
+def test_render_rejects_depth_below_one(fig, depth, tmp_path, capsys):
+    out = tmp_path / "f.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", fig, "--out", str(out), "--depth", depth])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"depth must be >= 1, got {depth}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_render_glue_accepts_param(tmp_path):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import ResourceCapExceeded
+import fanshift.itinerary as itinerary
 from fanshift.itinerary import (
+    CantorCertificate,
     Letter,
     Word,
     address_value,
@@ -15,6 +17,7 @@ from fanshift.itinerary import (
     letters_with_domain,
     letters_with_range,
 )
+from fanshift.mahavier import random_window_point, shift, unshift
 
 from _util import random_letter_chain, rng
 
@@ -159,6 +162,95 @@ def test_certificate_small():
     cert5 = cantor_certificate(5, 8)
     assert cert5.passed
     assert cert5.min_left_branching == 3
+
+
+def dfs_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:
+    """The certificate as an iterative DFS with one stack entry per word,
+    kept verbatim from the earlier implementation as the oracle for the
+    level walk."""
+    if n < 1:
+        raise ValueError(f"depth must be >= 1, got {n}")
+    counts = [0] * n
+    min_right = 3
+    min_left = min(min_right, len(letters_with_range(k)))
+    visited = 0
+
+    # Iterative DFS over the tree of right-growing words; each node is a
+    # word of length == depth, so per-length tallies fall out of the walk.
+    stack: list[tuple[int, int]] = [(lt.range_index, 1) for lt in letters_with_domain(k)]
+    while stack:
+        rng, depth = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise ResourceCapExceeded(
+                f"certificate walk (k={k}, n={n}) exceeded cap {cap}"
+            )
+        counts[depth - 1] += 1
+        succ = letters_with_domain(rng)
+        if len(succ) < min_right:
+            min_right = len(succ)
+        if depth < n:
+            for lt in succ:
+                stack.append((lt.range_index, depth + 1))
+
+    expected = count_words_recurrence(k, n)
+    passed = min_right >= 2 and min_left >= 2 and counts == expected
+    return CantorCertificate(
+        passed=passed,
+        k=k,
+        max_length=n,
+        min_right_branching=min_right,
+        min_left_branching=min_left,
+        words_checked=visited,
+        counts_by_length=counts,
+        recurrence_counts=expected,
+    )
+
+
+def test_level_walk_matches_dfs():
+    for k in range(1, 9):
+        for n in range(1, 11):
+            assert cantor_certificate(k, n) == dfs_certificate(k, n), (k, n)
+
+
+def test_certificate_counts_match_enumeration():
+    # iter_words lists the words themselves, so this does not lean on the
+    # recurrence the certificate compares against
+    for k in range(1, 5):
+        cert = cantor_certificate(k, 6)
+        assert cert.counts_by_length == [len(list(iter_words(k, m))) for m in range(1, 7)]
+        assert cert.words_checked == sum(cert.counts_by_length)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (3, 9), (1, 12)])
+def test_certificate_cap_boundary(k, n):
+    # (3, 9) and (1, 12) have levels longer than one expanded slice
+    total = dfs_certificate(k, n).words_checked
+    message = rf"certificate walk \(k={k}, n={n}\) exceeded cap {total - 1}$"
+    with pytest.raises(ResourceCapExceeded, match=message):
+        cantor_certificate(k, n, cap=total - 1)
+    with pytest.raises(ResourceCapExceeded, match=message):
+        dfs_certificate(k, n, cap=total - 1)
+    assert cantor_certificate(k, n, cap=total).words_checked == total
+
+
+def test_slices_and_shifts_skip_the_admissibility_check(monkeypatch):
+    calls = []
+
+    def counting(letters):
+        calls.append(len(letters))
+        return is_admissible(letters)
+
+    p = random_window_point(rng(4), 3, 5)
+    w = p.word
+    monkeypatch.setattr(itinerary, "is_admissible", counting)
+    sub = w.slice(-2, 3)
+    moved = (shift(p), unshift(p))
+    assert calls == []
+    # the trusted words equal the validated ones, which still run the check
+    assert sub == Word(w.letters[3:9], -2)
+    assert [q.word for q in moved] == [Word(w.letters, -6), Word(w.letters, -4)]
+    assert calls == [6, 10, 10]
 
 
 def test_encoding_positions_order():
