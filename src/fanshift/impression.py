@@ -400,7 +400,8 @@ def transitive_orbit_builder(
     def window_point(time: int) -> MPoint:
         lo = time - n
         hi = time + n - 1
-        sl = Word(tuple(letters[lo + n : hi + n + 1]), -n)
+        # a run of the orbit word, which is checked whole once it is built
+        sl = Word._trusted(tuple(letters[lo + n : hi + n + 1]), -n)
         return MPoint(sl, XPoint(kinds[time + n], values[time + n]))
 
     d0 = dist_window(window_point(0), seed_elem, cfg)
@@ -495,7 +496,7 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     def window(time: int) -> MPoint:
         sl = p.word.slice(time - n, time + n - 1)
         x = trace[time - lo]
-        return MPoint(Word(sl.letters, -n), x)
+        return MPoint(Word._trusted(sl.letters, -n), x)
 
     worst = 0.0
     worst_fwd = 0.0

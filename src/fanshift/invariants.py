@@ -18,7 +18,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotDistinguished
 from .mahavier import chunk_x
@@ -55,19 +55,25 @@ class JumaProfile:
 
     counts: tuple[int, ...]
 
-    @property
-    def distinct_values(self) -> frozenset[int]:
-        return frozenset(self.counts)
-
-    def multiset(self) -> Counter:
+    @cached_property
+    def _tally(self) -> Counter:
         return Counter(self.counts)
 
+    @cached_property
+    def distinct_values(self) -> frozenset[int]:
+        return frozenset(self._tally)
+
+    def multiset(self) -> Counter:
+        return Counter(self._tally)  # a copy, so the tally stays as counted
+
     def to_dict(self) -> dict:
-        return {"counts": sorted(Counter(self.counts).items())}
+        return {"counts": sorted(self._tally.items())}
 
 
 def profile(fan: FanModel) -> JumaProfile:
-    return JumaProfile(tuple(sorted(juma_count(fan, e) for e in endpoints(fan))))
+    hosts = fan._guests_by_host  # a leg with no guests has one height
+    counts = (juma_count(fan, e) if e in hosts else 1 for e in endpoints(fan))
+    return JumaProfile(tuple(sorted(counts)))
 
 
 @dataclass
@@ -163,11 +169,11 @@ def _grid_hit(lo_h: float, hi_h: float, step: float, cells: int) -> bool:
     up to 1e-15; only ``first`` and ``first + 1`` need comparing (see
     ``juma_metric_oracle``)."""
     first = max(1, math.ceil(lo_h / step - 1e-9))
-    last = math.floor(hi_h / step + 1e-9)
-    return any(
-        lo_h - 1e-15 <= idx * step <= hi_h + 1e-15
-        for idx in range(first, min(last, cells, first + 1) + 1)
-    )
+    last = min(math.floor(hi_h / step + 1e-9), cells, first + 1)
+    for idx in range(first, last + 1):
+        if lo_h - 1e-15 <= idx * step <= hi_h + 1e-15:
+            return True
+    return False
 
 
 def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
@@ -207,13 +213,6 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
         entries.sort()
     tip_xs = {bundle: [e[0] for e in entries] for bundle, entries in tips.items()}
 
-    def nearest_tip_dist(bundle: str, x: float, exclude: int) -> float:
-        i = bisect.bisect_left(tip_xs.get(bundle, ()), x)
-        window = tips.get(bundle, ())[max(0, i - 3) : i + 3]
-        return min(
-            (abs(ex - x) for ex, ei, _ in window if ei != exclude), default=math.inf
-        )
-
     cells = round(1.0 / grid)
     clusters: dict[int, list[tuple[float, float]]] = {}
 
@@ -230,13 +229,27 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
 
         intervals: list[tuple[float, float]] = []
         for rx, cap, bundle in reps:
-            delta = 1.5 * nearest_tip_dist(bundle, rx, li)
+            entries = tips.get(bundle, ())
+            xs = tip_xs.get(bundle, ())
+            # the nearest other tip is the first entry on each side of rx
+            # that is not li, which occurs at most once in the list
+            p = bisect.bisect_left(xs, rx)
+            left = p - 2 if p > 0 and entries[p - 1][1] == li else p - 1
+            right = p + 1 if p < len(xs) and entries[p][1] == li else p
+            near = abs(xs[left] - rx) if left >= 0 else math.inf
+            if right < len(xs):
+                near = min(near, abs(xs[right] - rx))
+            delta = 1.5 * near
             if not math.isfinite(delta) or delta <= 0.0:
                 continue
-            xs = tip_xs[bundle]
-            lo_i = bisect.bisect_left(xs, rx - delta)
-            hi_i = bisect.bisect_right(xs, rx + delta)
-            for ex, ei, eh in tips[bundle][lo_i:hi_i]:
+            # every tip in [rx - delta, rx + delta]: walk outward from p
+            lo_x, hi_x = rx - delta, rx + delta
+            lo = hi = p
+            while lo > 0 and xs[lo - 1] >= lo_x:
+                lo -= 1
+            while hi < len(xs) and xs[hi] <= hi_x:
+                hi += 1
+            for ex, ei, eh in entries[lo:hi]:
                 if ei == li:
                     continue
                 dx = ex - rx
@@ -260,11 +273,12 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
 
         # grid heights: relative subdivisions of every arc laid on this leg
         steps = [cap * grid for _, cap, _ in reps]
-        kept = [
-            (lo_h, hi_h)
-            for lo_h, hi_h in merged
-            if any(_grid_hit(lo_h, hi_h, step, cells) for step in steps)
-        ]
+        kept = []
+        for lo_h, hi_h in merged:
+            for step in steps:
+                if _grid_hit(lo_h, hi_h, step, cells):
+                    kept.append((lo_h, hi_h))
+                    break
         if kept:
             clusters[li] = kept
 
@@ -275,12 +289,18 @@ def oracle_agreement(fan: FanModel, grid: float = 2.0**-10) -> dict:
     """Compare the combinatorial heights with the metric oracle per leg."""
     result = juma_metric_oracle(fan, grid)
     mismatches = []
+    hosts = fan._guests_by_host
     for li in endpoints(fan):
-        expected = juma_heights(fan, li)
+        # a leg with no guests has one height: its own length
+        expected = juma_heights(fan, li) if li in hosts else (fan.legs[li].length,)
         got = result.clusters.get(li, [])
-        ok = len(got) == len(expected) and all(
-            any(lo <= h <= hi for lo, hi in got) for h in expected
-        )
+        ok = len(got) == len(expected)
+        for h in expected:
+            for lo, hi in got:
+                if lo <= h <= hi:
+                    break
+            else:
+                ok = False
         if not ok:
             mismatches.append(
                 {

@@ -23,10 +23,12 @@ from typing import Callable
 
 from .errors import (
     HypothesisViolated,
+    ResourceCapExceeded,
     TruncationError,
     WellDefinednessError,
 )
-from .itinerary import Letter, Word, address_value, cantor_address, iter_words
+from .itinerary import ENUMERATION_CAP, Letter, Word, address_value, cantor_address
+from .itinerary import count_words_recurrence, iter_words
 from .mahavier import (
     MPoint,
     diagonal_point,
@@ -608,10 +610,11 @@ class FanModel:
 
 
 @lru_cache(maxsize=256)
-def _bundle_addresses(k: int, depth: int) -> tuple[str, ...]:
-    return tuple(
-        sorted(cantor_address(w) for w in iter_words(k, depth))
-    )
+def _bundle_legs(k: int, depth: int) -> tuple[Leg, ...]:
+    """Bundle k's legs, one per admissible word of the depth, by address."""
+    length = fiber_length(k)
+    addresses = sorted(cantor_address(w) for w in iter_words(k, depth))
+    return tuple(Leg(str(k), addr, length) for addr in addresses)
 
 
 def identity_address(j: int, depth: int) -> str:
@@ -625,7 +628,8 @@ def build_fan(a: AParam, kmax_bundle: int, depth: int) -> FanModel:
     Bundle k contributes one leg of length 2^(1-2k) per admissible word of
     the given depth; for each parameter coordinate k the diagonal legs of
     the blocks host_bundle(k)+1 .. host_bundle(k)+a_k are glued onto the
-    diagonal leg of host_bundle(k).
+    diagonal leg of host_bundle(k).  A fan of more than ENUMERATION_CAP
+    legs raises ResourceCapExceeded before any word is enumerated.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -636,21 +640,31 @@ def build_fan(a: AParam, kmax_bundle: int, depth: int) -> FanModel:
                 f"parameter coordinate {k} needs bundle {need}, "
                 f"model stops at {kmax_bundle}"
             )
+    total = sum(
+        count_words_recurrence(k, depth)[-1] for k in range(1, kmax_bundle + 1)
+    )
+    if total > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"fan with {kmax_bundle} bundles at depth {depth} has {total} legs, "
+            f"over cap {ENUMERATION_CAP}"
+        )
     legs: list[Leg] = []
-    index: dict[tuple[str, str], int] = {}
+    start: dict[int, int] = {}  # index of each bundle's first leg
     for k in range(1, kmax_bundle + 1):
-        length = fiber_length(k)
-        for addr in _bundle_addresses(k, depth):
-            index[(str(k), addr)] = len(legs)
-            legs.append(Leg(str(k), addr, length))
+        start[k] = len(legs)
+        legs.extend(_bundle_legs(k, depth))
+
+    def diagonal_leg(j: int) -> int:
+        # Letter(j, 2) maps interval j onto itself: bundle j holds this word
+        bundle, addr = _bundle_legs(j, depth), identity_address(j, depth)
+        return start[j] + bisect_left(bundle, addr, key=lambda leg: leg.address)
+
     gluings: list[Gluing] = []
     for k in range(1, len(a) + 1):
         jh = host_bundle(k)
-        host = index[(str(jh), identity_address(jh, depth))]
+        host = diagonal_leg(jh)
         for i in range(1, a[k] + 1):
-            jg = jh + i
-            guest = index[(str(jg), identity_address(jg, depth))]
-            gluings.append(Gluing(host, guest))
+            gluings.append(Gluing(host, diagonal_leg(jh + i)))
     return FanModel(tuple(legs), tuple(gluings))
 
 

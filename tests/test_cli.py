@@ -261,6 +261,28 @@ def test_cantor_cap_failure_report(tmp_path):
     }
 
 
+def test_juma_cap_failure_report(tmp_path):
+    # at depth 12 the fans would have over a million legs: the check fails
+    # before any word is enumerated
+    report_path = tmp_path / "juma.json"
+    assert main(["verify", "juma", "--depth", "12", "--report", str(report_path)]) == 1
+    assert json.loads(report_path.read_text()) == {
+        "extra": {},
+        "name": "juma",
+        "params": {"depth": 12, "grid": 2.0**-10, "seed": 0},
+        "pass": False,
+        "schema_version": SCHEMA_VERSION,
+        "timings": {},
+        "witnesses": [
+            {
+                "error": "ResourceCapExceeded",
+                "message": "fan with 5 bundles at depth 12 has 1720513 legs, "
+                "over cap 1000000",
+            }
+        ],
+    }
+
+
 def test_reports_byte_identical_for_same_seed(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "quotient", "--a", "2,4", "--samples", "60", "--seed", "7"]

@@ -330,7 +330,9 @@ def _corpus_fan(a, depth):
     "a, depth",
     [
         *((AParam(c), d) for c in ((), (1,), (2,), (1, 3)) for d in (3, 4)),
-        (WITNESS, 3),
+        # every kmax-4 parameter at depth 3, where the known mismatches are
+        *((a, 3) for a in AParam.all_params(4)),
+        (WITNESS, 5),
     ],
     ids=lambda v: str(v.coords) if isinstance(v, AParam) else f"depth{v}",
 )
@@ -395,18 +397,31 @@ def test_oracle_rejects_bad_grid():
             juma_metric_oracle(fan, grid)
 
 
+def _census_fans():
+    for depth in (3, 4, 5):
+        for kmax in range(1, 5):
+            kb = host_bundle(kmax) + 2 * kmax
+            for a in AParam.all_params(kmax):
+                yield depth, a, build_fan(a, kb, depth)
+
+
+def test_profile_equals_count_per_endpoint_on_census():
+    # profile reads juma_heights for hosts only; every endpoint's own count
+    # must give the same multiset
+    for _, _, fan in _census_fans():
+        naive = JumaProfile(tuple(sorted(juma_count(fan, e) for e in endpoints(fan))))
+        assert profile(fan) == naive
+
+
 def test_census_matches_recorded_verdicts():
     """The benchmark's 90-fan census: build_fan + profile + oracle_agreement
     for every parameter with kmax 1-4 at depths 3, 4 and 5."""
     expected = Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json"
     known = json.loads(expected.read_text(encoding="utf-8"))["census"]
-    rows = []
-    for depth in (3, 4, 5):
-        for kmax in range(1, 5):
-            kb = host_bundle(kmax) + 2 * kmax
-            for a in AParam.all_params(kmax):
-                fan = build_fan(a, kb, depth)
-                rows.append((depth, list(a.coords), profile(fan), oracle_agreement(fan)))
+    rows = [
+        (depth, list(a.coords), profile(fan), oracle_agreement(fan))
+        for depth, a, fan in _census_fans()
+    ]
     assert len(rows) == 90
     failing = [[d, c] for d, c, _, agree in rows if not agree["passed"]]
     assert failing == known["oracle_mismatch_fans"]

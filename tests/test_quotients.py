@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 
 from fanshift.errors import (
     HypothesisViolated,
+    ResourceCapExceeded,
     TruncationError,
     WellDefinednessError,
 )
 from fanshift.invariants import leg_x
-from fanshift.itinerary import random_word
+from fanshift.itinerary import ENUMERATION_CAP, count_words_recurrence, random_word
 from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -416,6 +417,19 @@ def test_build_fan_validation():
         build_fan(AParam((1,)), 3, 3)  # bundle 4 needed
     with pytest.raises(ValueError):
         build_fan(AParam(()), 2, 0)
+
+
+def test_build_fan_leg_count_and_cap():
+    for kb, depth in ((4, 3), (10, 5)):
+        fan = build_fan(AParam(()), kb, depth)
+        assert len(fan.legs) == sum(
+            count_words_recurrence(k, depth)[-1] for k in range(1, kb + 1)
+        )
+    # fans of the same depth share their bundles' Leg objects
+    other = build_fan(AParam((1,)), 4, 3)
+    assert all(x is y for x, y in zip(build_fan(AParam(()), 4, 3).legs, other.legs))
+    with pytest.raises(ResourceCapExceeded, match=f"over cap {ENUMERATION_CAP}$"):
+        build_fan(AParam(()), 5, 12)
 
 
 def test_fan_model_invariants():
