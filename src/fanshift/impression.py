@@ -22,8 +22,8 @@ from .mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
+    _local_trace,
     _window_dists,
-    coord_range,
     dist_window,
 )
 from .xspace import INFINITY, XPoint, dist, embed
@@ -283,10 +283,13 @@ def _pull_back(u: float, word: Word, upto: int) -> float:
     return u
 
 
-def _push(u: float, letters) -> float:
-    for lt in letters:
+def _run_values(u: float, run) -> list[float]:
+    """The coordinate after each letter of ``run``, starting from ``u``."""
+    values = []
+    for lt in run:
         u = lt.piece(u)
-    return u
+        values.append(u)
+    return values
 
 
 # exponents up to 2^60 so even a value one ulp below 1 can be pulled back
@@ -368,18 +371,15 @@ def transitive_orbit_builder(
     target = eps * 0.995
 
     # Position bookkeeping: letters occupy transitions -n, -n+1, ...; the
-    # value trace holds the coordinate at every position from -n onward.
+    # value trace holds the coordinate at every position from -n onward, so
+    # the coordinate at orbit time t is values[t + n], in interval
+    # letters[t + n].domain_index.
     letters: list[Letter] = []
     values: list[float] = []
-    kinds: list[int] = []
 
-    def append(lt: Letter) -> None:
-        letters.append(lt)
-        values.append(lt.piece(values[-1]))
-        kinds.append(lt.range_index)
-
-    def right_end() -> tuple[int, float]:
-        return kinds[-1], values[-1]
+    def push(run) -> None:
+        letters.extend(run)
+        values.extend(_run_values(values[-1], run))
 
     visits: list[Visit] = []
 
@@ -391,18 +391,13 @@ def transitive_orbit_builder(
 
     seed_elem = net[order[0]]
     u_seed = min(1.0 - 2.0**-20, max(2.0**-20, seed_elem.t0.u))
-    u_left = _pull_back(u_seed, seed_elem.word, -n)
-    values.append(u_left)
-    kinds.append(seed_elem.word.domain_at(-n))
-    for pos in range(-n, n):
-        append(seed_elem.word.letter(pos))
+    values.append(_pull_back(u_seed, seed_elem.word, -n))
+    push(seed_elem.word.slice(-n, n - 1).letters)
 
     def window_point(time: int) -> MPoint:
-        lo = time - n
-        hi = time + n - 1
         # a run of the orbit word, which is checked whole once it is built
-        sl = Word._trusted(tuple(letters[lo + n : hi + n + 1]), -n)
-        return MPoint(sl, XPoint(kinds[time + n], values[time + n]))
+        sl = Word._trusted(tuple(letters[time : time + 2 * n]), -n)
+        return MPoint(sl, XPoint(letters[time + n].domain_index, values[time + n]))
 
     d0 = dist_window(window_point(0), seed_elem, cfg)
     if d0 > target:
@@ -411,7 +406,7 @@ def transitive_orbit_builder(
 
     for oi in order[1:]:
         elem = net[oi]
-        k_cur, u_cur = right_end()
+        k_cur, u_cur = letters[-1].range_index, values[-1]
 
         if elem.is_all_infinity:
             # A window sitting wholly inside a deep interval is close to the
@@ -419,11 +414,9 @@ def transitive_orbit_builder(
             k_vis = 3
             while 2.0 ** (2 - 2 * k_vis) > target:
                 k_vis += 1
-            for lt in _navigate(k_cur, k_vis):
-                append(lt)
-            block = len(letters)
-            for _ in range(2 * n):
-                append(Letter(k_vis, 2))
+            climb = _navigate(k_cur, k_vis)
+            block = len(letters) + len(climb)
+            push(climb + [Letter(k_vis, 2)] * (2 * n))
             # the identity block covers orbit transitions block-n..block+n-1,
             # so the visited window is centered at orbit time ``block``
             vis_time = block
@@ -434,6 +427,7 @@ def transitive_orbit_builder(
             continue
 
         word = elem.word
+        central = list(word.slice(-n, n - 1).letters)
         u_q = elem.t0.u
         d_left = word.domain_at(-n)
         v_target = _pull_back(u_q, word, -n)
@@ -443,20 +437,18 @@ def transitive_orbit_builder(
         for m, n_steps in _steer_candidates(u_cur, v_target, tries):
             tried += 1
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            v = _push(u_cur, conn)
-            u0_vis = _push(v, (word.letter(pos) for pos in range(-n, 0)))
-            u_end = _push(u0_vis, (word.letter(pos) for pos in range(0, n)))
+            run = conn + central
+            run_values = _run_values(u_cur, run)
+            u0_vis, u_end = run_values[-n - 1], run_values[-1]
             if not 0.0 < u_end < 1.0:
                 # an exact endpoint would pin every later coordinate there
                 continue
             p_vis = MPoint(word, XPoint(word.domain_at(0), u0_vis))
             d = dist_window(p_vis, elem, cfg)
             if d <= target:
-                for lt in conn:
-                    append(lt)
-                base = len(letters)
-                for pos in range(-n, n):
-                    append(word.letter(pos))
+                base = len(letters) + len(conn)
+                letters.extend(run)
+                values.extend(run_values)
                 # the element's letters cover orbit transitions
                 # base-n..base+n-1, centering the visit at time ``base``
                 vis_time = base
@@ -474,7 +466,7 @@ def transitive_orbit_builder(
                 f"after {tried} tries"
             )
 
-    point = MPoint(Word(tuple(letters), -n), XPoint(kinds[n], values[n]))
+    point = MPoint(Word(tuple(letters), -n), XPoint(letters[n].domain_index, values[n]))
     passed = all(v.dist <= eps for v in visits) and len(visits) == len(net)
     return OrbitResult(point, net, visits, eps, cfg, used_k_cut, passed)
 
@@ -482,20 +474,20 @@ def transitive_orbit_builder(
 def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     """Re-check every recorded visit against the returned point alone.
 
-    Recomputes the coordinate trace of the orbit point from scratch and
-    re-evaluates the two-sided and the forward window metric at each visit
-    time in one pass, trusting nothing from the stored distances.
+    Walks the local coordinates of the orbit point once, outward from its
+    base, and re-evaluates the two-sided and the forward window metric at
+    each visit time in one pass, trusting nothing the builder stored.
     """
     eps = result.eps if eps is None else eps
     cfg = result.cfg
     n = cfg.half_width
     p = result.point
     lo, hi = p.lo, p.hi
-    trace = coord_range(p, lo, hi + 1)
+    trace = _local_trace(p, lo, hi + 1)
 
     def window(time: int) -> MPoint:
         sl = p.word.slice(time - n, time + n - 1)
-        x = trace[time - lo]
+        x = XPoint(p.word.domain_at(time), trace[time - lo])
         return MPoint(Word._trusted(sl.letters, -n), x)
 
     worst = 0.0

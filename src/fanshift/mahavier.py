@@ -99,22 +99,25 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     """
     if p.is_all_infinity:
         return [INFINITY] * (hi - lo + 1)
+    us = _local_trace(p, lo, hi)
+    word = p.word
+    ks = [lt.domain_index for lt in word.letters[lo - word.start : hi - word.start]]
+    return [XPoint(k, u) for k, u in zip(ks + [word.domain_at(hi)], us)]
+
+
+def _local_trace(p: MPoint, lo: int, hi: int) -> list[float]:
+    """Local coordinates lo..hi of a finite-window point: the forward walk
+    runs through positions 0..hi-1 and the backward walk through -1..lo."""
     if lo < p.lo or hi > p.hi + 1 or lo > hi:
         raise IndexError("requested coordinates outside window")
-    vals = {0: p.t0} if lo <= 0 <= hi else {}
-    cur = p.t0
-    for pos in range(0, hi):
-        lt = p.word.letter(pos)
-        cur = XPoint(lt.range_index, lt.piece(cur.u))
-        if pos + 1 >= lo:
-            vals[pos + 1] = cur
-    cur = p.t0
-    for pos in range(-1, lo - 1, -1):
-        lt = p.word.letter(pos)
-        cur = XPoint(lt.domain_index, lt.piece(cur.u, inverse=True))
-        if pos <= hi:
-            vals[pos] = cur
-    return [vals[j] for j in range(lo, hi + 1)]
+    letters, base, first = p.word.letters, -p.word.start, min(lo, 0)
+    trace = [p.t0.u]
+    for lt in reversed(letters[base + first : base]):
+        trace.append(lt.piece(trace[-1], inverse=True))
+    trace.reverse()
+    for lt in letters[base : base + hi]:
+        trace.append(lt.piece(trace[-1]))
+    return trace[lo - first : hi - first + 1]
 
 
 def shift(p: MPoint) -> MPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from fanshift.errors import PathNotFound
 from fanshift.impression import (
     INTERIOR_GUARD,
     _EXPONENTS,
+    Visit,
     _steer_candidates,
     build_net,
     default_k_cut,
@@ -19,8 +21,14 @@ from fanshift.impression import (
     verify_orbit,
     witness_path,
 )
-from fanshift.itinerary import is_admissible
-from fanshift.mahavier import WindowConfig, coord_range, dist_window
+from fanshift.itinerary import Letter, is_admissible
+from fanshift.mahavier import (
+    MPoint,
+    WindowConfig,
+    _local_trace,
+    coord_range,
+    dist_window,
+)
 from fanshift.relations import GLOBAL_MAPS, global_apply, h_image, in_H
 from fanshift.xspace import INFINITY, XPoint
 
@@ -221,14 +229,60 @@ def test_orbit_small_run_covers_net():
     assert check["max_forward_dist"] <= check["max_dist"]
 
 
-def test_orbit_consecutive_pairs_admissible():
-    cfg = WindowConfig(1)
-    res = transitive_orbit_builder(0.25, cfg, u_cells=4)
-    p = res.point
+@pytest.fixture(scope="module")
+def small_orbit():
+    return transitive_orbit_builder(0.25, WindowConfig(1), u_cells=4)
+
+
+def test_orbit_consecutive_pairs_admissible(small_orbit):
+    p = small_orbit.point
     trace = coord_range(p, p.lo, p.hi + 1)
     assert len(trace) == len(p.word.letters) + 1
     for x, y in zip(trace, trace[1:]):
         assert in_H(x, y)
+
+
+def test_orbit_float_trace_equals_coord_range(small_orbit):
+    p = small_orbit.point
+    trace = _local_trace(p, p.lo, p.hi + 1)
+    assert trace == [x.u for x in coord_range(p, p.lo, p.hi + 1)]
+
+
+def test_verify_orbit_rejects_a_moved_base(small_orbit):
+    p = small_orbit.point
+    assert p.t0.u != 0.5
+    moved = MPoint(p.word, XPoint(p.t0.k, 0.5))
+    check = verify_orbit(dataclasses.replace(small_orbit, point=moved))
+    assert check["passed"] is False
+    assert check["coverage"] < 1.0
+
+
+def test_verify_orbit_rejects_a_moved_visit_time(small_orbit):
+    visits = list(small_orbit.visits)
+    v = visits[5]
+    visits[5] = Visit(v.net_index, v.time + 1, v.dist)
+    check = verify_orbit(dataclasses.replace(small_orbit, visits=visits))
+    assert check["passed"] is False
+    assert check["coverage"] < 1.0
+
+
+def test_verify_orbit_walks_the_orbit_once(small_orbit, monkeypatch):
+    # one piece per orbit letter for the trace, then 2N per visit window
+    # and 2N per finite net element for the window metric
+    calls = []
+    piece = Letter.piece
+
+    def counting(self, u, inverse=False):
+        calls.append(1)
+        return piece(self, u, inverse)
+
+    res = small_orbit
+    n = res.cfg.half_width
+    finite = sum(not res.net[v.net_index].is_all_infinity for v in res.visits)
+    monkeypatch.setattr(Letter, "piece", counting)
+    assert verify_orbit(res)["passed"]
+    assert len(calls) == len(res.point.word) + 2 * n * (len(res.visits) + finite)
+    assert len(calls) == 2876
 
 
 def test_orbit_visits_match_shifted_windows():

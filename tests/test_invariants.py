@@ -5,7 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fanshift.errors import NotDistinguished
 from fanshift.invariants import (
@@ -129,6 +129,18 @@ def test_distinguish_random_pairs():
         cert = distinguish(a, b, 6, 2)
         assert isinstance(cert, DistinguishCertificate)
         assert a[cert.k] != b[cert.k]
+
+
+@given(
+    st.sampled_from(AParam.all_params(3)), st.sampled_from(AParam.all_params(3))
+)
+@settings(max_examples=60, deadline=None)
+def test_distinguish_is_symmetric(a, b):
+    assume(a != b)
+    ab, ba = distinguish(a, b, 3, 3), distinguish(b, a, 3, 3)
+    assert ab.k == ba.k
+    assert (ab.first_value, ab.second_value) == (ba.second_value, ba.first_value)
+    assert (ab.first_counts, ab.second_counts) == (ba.second_counts, ba.first_counts)
 
 
 def test_distinguish_requires_difference():

@@ -46,6 +46,48 @@ def test_coords_match_coord_range(seed, k, half_width):
         assert coords(p, j) == trace[j - p.lo]
 
 
+def _coord_range_reference(p, lo, hi):
+    """Verbatim copy of the dict walk ``coord_range`` used before it walked
+    the letter tuple for local coordinates; the oracle for it."""
+    if p.is_all_infinity:
+        return [INFINITY] * (hi - lo + 1)
+    if lo < p.lo or hi > p.hi + 1 or lo > hi:
+        raise IndexError("requested coordinates outside window")
+    vals = {0: p.t0} if lo <= 0 <= hi else {}
+    cur = p.t0
+    for pos in range(0, hi):
+        lt = p.word.letter(pos)
+        cur = XPoint(lt.range_index, lt.piece(cur.u))
+        if pos + 1 >= lo:
+            vals[pos + 1] = cur
+    cur = p.t0
+    for pos in range(-1, lo - 1, -1):
+        lt = p.word.letter(pos)
+        cur = XPoint(lt.domain_index, lt.piece(cur.u, inverse=True))
+        if pos <= hi:
+            vals[pos] = cur
+    return [vals[j] for j in range(lo, hi + 1)]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1e-300])),
+)
+@settings(max_examples=100, deadline=None)
+def test_coord_range_matches_dict_walk(seed, k, half_width, u):
+    word = random_window_point(rng(seed), k, half_width).word
+    p = MPoint(word, XPoint(k, u))
+    for lo in range(p.lo, p.hi + 2):
+        for hi in range(lo, p.hi + 2):
+            assert coord_range(p, lo, hi) == _coord_range_reference(p, lo, hi)
+    for lo, hi in ((p.lo - 1, 0), (0, p.hi + 2), (p.lo - 1, p.hi + 2), (1, 0)):
+        for walk in (coord_range, _coord_range_reference):
+            with pytest.raises(IndexError):
+                walk(p, lo, hi)
+
+
 def test_cube_root_window_coords():
     w = Word((Letter(1, 2), Letter(1, 2)))
     p = MPoint(w, XPoint(1, 0.5**27))
@@ -96,14 +138,14 @@ def test_shift_conjugates_coordinates():
             assert a.k == b.k and math.isclose(a.u, b.u, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_shift_unshift_round_trip():
-    r = rng(2)
-    for _ in range(300):
-        p = random_window_point(r, r.randint(1, 4), 5)
-        for q in (unshift(shift(p)), shift(unshift(p))):
-            assert q.word == p.word
-            assert q.t0.k == p.t0.k
-            assert math.isclose(q.t0.u, p.t0.u, rel_tol=1e-12, abs_tol=1e-12)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_shift_unshift_round_trip(seed, k, half_width):
+    # half-width 1 leaves no transition right of the origin to shift over
+    p = random_window_point(rng(seed), k, half_width)
+    for q in (unshift(shift(p)), shift(unshift(p))):
+        assert q.word == p.word and q.t0.k == p.t0.k
+        assert math.isclose(q.t0.u, p.t0.u, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_shift_window_exhaustion():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import (
     HypothesisViolated,
@@ -18,6 +18,7 @@ from fanshift.mahavier import (
     fiber_length,
     height,
     pack,
+    random_window_point,
     shift,
     unshift,
 )
@@ -360,6 +361,48 @@ def test_sim_a_transitivity_on_block_sample():
             for z in pts:
                 if sim_a(x, y, a) and sim_a(y, z, a):
                     assert sim_a(x, z, a)
+
+
+@st.composite
+def _sim_a_points(draw, a):
+    """Glued pairs, diagonal arcs of a block at heights shared across the
+    block, the top class, and random windows."""
+    kind = draw(st.sampled_from(["glued", "block", "top", "window"]))
+    k = draw(st.integers(1, len(a)))
+    frac = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    if kind == "glued":
+        return glued_pair(k, draw(st.integers(1, 2 * k)), frac)[draw(st.integers(0, 1))]
+    if kind == "block":
+        j = host_bundle(k) + draw(st.integers(0, 2 * k))
+        tau = frac * fiber_length(host_bundle(k) + 2 * k)
+        return diagonal_point(j, tau / fiber_length(j))
+    seed = draw(st.integers(0, 3))
+    if kind == "top":
+        if seed == 0:
+            return ALL_INFINITY
+        return pack(random_word(rng(seed), k, left=8, right=8), 0.0)
+    return random_window_point(rng(seed), draw(st.integers(1, 4)))
+
+
+@st.composite
+def _sim_a_samples(draw):
+    a = draw(st.sampled_from(AParam.all_params(3)))
+    return a, draw(st.lists(_sim_a_points(a), min_size=1, max_size=6))
+
+
+@given(_sim_a_samples())
+@settings(max_examples=200, deadline=None)
+def test_sim_a_is_an_equivalence_relation(sample):
+    a, pts = sample
+    for x in pts:
+        assert sim_a(x, x, a)
+        for y in pts:
+            xy = sim_a(x, y, a)
+            assert xy == sim_a(y, x, a)
+            if xy:
+                for z in pts:
+                    if sim_a(y, z, a):
+                        assert sim_a(x, z, a)
 
 
 def test_shift_compatibility_of_equivalence():
