@@ -476,7 +476,9 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
 
     Walks the local coordinates of the orbit point once, outward from its
     base, and re-evaluates the two-sided and the forward window metric at
-    each visit time in one pass, trusting nothing the builder stored.
+    each visit time in one pass, trusting nothing the builder stored.  A
+    visit whose window reaches past either end of the orbit word counts as
+    uncovered.
     """
     eps = result.eps if eps is None else eps
     cfg = result.cfg
@@ -494,6 +496,8 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     worst_fwd = 0.0
     seen = set()
     for v in result.visits:
+        if not lo + n <= v.time <= hi + 1 - n:
+            continue  # the window leaves the orbit word: the visit is uncovered
         d, f = _window_dists(window(v.time), result.net[v.net_index], cfg)
         worst = max(worst, d)
         worst_fwd = max(worst_fwd, f)

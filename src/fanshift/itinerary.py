@@ -44,14 +44,9 @@ class Letter:
         if self.ell == 1 and self.j == 1:
             # canonical form of the identified pair of letters on interval 1
             object.__setattr__(self, "j", 2)
-
-    @property
-    def domain_index(self) -> int:
-        return self.ell
-
-    @property
-    def range_index(self) -> int:
-        return self.ell + self.j - 2
+        # plain attributes, not fields: eq, hash, order and repr read (ell, j)
+        object.__setattr__(self, "domain_index", self.ell)
+        object.__setattr__(self, "range_index", self.ell + self.j - 2)
 
     def piece(self, u: float, inverse: bool = False) -> float:
         """The letter's increasing bijection of [0, 1] on the local coordinate.
@@ -328,16 +323,17 @@ def cantor_address(word: Word, k: int | None = None) -> str:
     base = word.domain_at(0)
     if k is not None and k != base:
         raise ValueError(f"word has position-0 domain {base}, expected {k}")
+    letters, start = word.letters, word.start
     digits: list[str] = []
-    for pos in encoding_positions(word.start, word.stop - 1):
-        lt = word.letter(pos)
+    for pos in encoding_positions(start, word.stop - 1):
+        i = pos - start
         if pos == 0:
             candidates = letters_with_domain(base)
         elif pos > 0:
-            candidates = letters_with_domain(word.letter(pos - 1).range_index)
+            candidates = letters_with_domain(letters[i - 1].range_index)
         else:
-            candidates = letters_with_range(word.domain_at(pos + 1))
-        rank = candidates.index(lt)
+            candidates = letters_with_range(letters[i + 1].domain_index)
+        rank = candidates.index(letters[i])
         digits.append(_BLOCKS_2[rank] if len(candidates) == 2 else _BLOCKS_3[rank])
     return "".join(digits)
 
@@ -364,6 +360,11 @@ def random_word(
     chain = [rng.choice(letters_with_domain(k))]
     for _ in range(right - 1):
         chain.append(rng.choice(letters_with_domain(chain[-1].range_index)))
+    # the left run grows outward, so it is drawn right to left
+    outward = []
+    d = chain[0].domain_index
     for _ in range(left):
-        chain.insert(0, rng.choice(letters_with_range(chain[0].domain_index)))
-    return Word(tuple(chain), -left)
+        lt = rng.choice(letters_with_range(d))
+        outward.append(lt)
+        d = lt.domain_index
+    return Word(tuple(outward[::-1] + chain), -left)

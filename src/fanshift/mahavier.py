@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError, WindowExhausted
-from .itinerary import Letter, Word, address_value, cantor_address
-from .xspace import INFINITY, XPoint, dist
+from .itinerary import Letter, Word, address_value, cantor_address, random_word
+from .xspace import INFINITY, XPoint, _chart
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,18 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     """
     if p.is_all_infinity:
         return [INFINITY] * (hi - lo + 1)
+    ks, us = _interval_trace(p, lo, hi)
+    return [XPoint(k, u) for k, u in zip(ks, us)]
+
+
+def _interval_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
+    """Interval indices, read off the letters, and local coordinates lo..hi
+    of a finite-window point."""
     us = _local_trace(p, lo, hi)
     word = p.word
     ks = [lt.domain_index for lt in word.letters[lo - word.start : hi - word.start]]
-    return [XPoint(k, u) for k, u in zip(ks + [word.domain_at(hi)], us)]
+    ks.append(word.domain_at(hi))
+    return ks, us
 
 
 def _local_trace(p: MPoint, lo: int, hi: int) -> list[float]:
@@ -162,17 +170,30 @@ def extend(p: MPoint, letter: Letter, side: str) -> MPoint:
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _window_chart(p: MPoint, n: int) -> list[float]:
+    """Chart images ``embed(coords(p, j))`` of coordinates -n..n, computed
+    on floats: the interval trace goes through the chart without building
+    an ``XPoint``."""
+    if p.is_all_infinity:
+        return [1.0] * (2 * n + 1)
+    ks, us = _interval_trace(p, -n, n)
+    for u in us:
+        if not 0.0 <= u <= 1.0:
+            raise ValueError(f"local coordinate {u!r} outside [0, 1]")
+    return [_chart(k, u) for k, u in zip(ks, us)]
+
+
 def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float]:
     """Two-sided and forward (j >= 0) maxima of the weighted gaps
     dist(p_j, q_j) / 2^|j| over |j| <= N, from one trace of each point.
 
-    The forward walk of ``coord_range`` does not depend on its left end, so
+    The forward walk of ``_local_trace`` does not depend on its left end, so
     the forward maximum equals the one taken over coordinates 0..N alone.
     """
     n = cfg.half_width
     gaps = [
-        dist(a, b) / 2.0 ** abs(j)
-        for j, a, b in zip(range(-n, n + 1), coord_range(p, -n, n), coord_range(q, -n, n))
+        abs(b - a) / 2.0 ** abs(j)
+        for j, a, b in zip(range(-n, n + 1), _window_chart(p, n), _window_chart(q, n))
     ]
     return max(0.0, *gaps), max(0.0, *gaps[n:])
 
@@ -270,7 +291,5 @@ def diagonal_point(j: int, u: float, half_width: int = 8) -> MPoint:
 
 def random_window_point(rng, k: int, half_width: int = 8) -> MPoint:
     """Random point with a window of the given half-width through interval k."""
-    from .itinerary import random_word
-
     word = random_word(rng, k, left=half_width, right=half_width)
     return MPoint(word, XPoint(k, rng.random()))

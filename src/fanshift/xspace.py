@@ -72,8 +72,12 @@ def embed(x: XPoint) -> float:
     """
     if x.k is None:
         return 1.0
-    k = x.k
-    return (1.0 - 2.0 ** (2 - 2 * k)) + x.u * 2.0 ** (1 - 2 * k)
+    return _chart(x.k, x.u)
+
+
+def _chart(k: int, u: float) -> float:
+    """The chart on a finite point: local coordinate u of interval k."""
+    return (1.0 - 2.0 ** (2 - 2 * k)) + u * 2.0 ** (1 - 2 * k)
 
 
 def dist(x: XPoint, y: XPoint) -> float:

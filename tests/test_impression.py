@@ -266,6 +266,18 @@ def test_verify_orbit_rejects_a_moved_visit_time(small_orbit):
     assert check["coverage"] < 1.0
 
 
+def test_verify_orbit_counts_a_visit_past_the_word_end_as_uncovered(small_orbit):
+    # the last visit's window already ends at the orbit word's last letter
+    p, n = small_orbit.point, small_orbit.cfg.half_width
+    visits = list(small_orbit.visits)
+    v = visits[-1]
+    assert v.time + n == p.hi + 1
+    visits[-1] = Visit(v.net_index, v.time + 1, v.dist)
+    check = verify_orbit(dataclasses.replace(small_orbit, visits=visits))
+    assert check["passed"] is False
+    assert check["covered"] == check["net_size"] - 1
+
+
 def test_verify_orbit_walks_the_orbit_once(small_orbit, monkeypatch):
     # one piece per orbit letter for the trace, then 2N per visit window
     # and 2N per finite net element for the window metric

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import ResourceCapExceeded
 import fanshift.itinerary as itinerary
 from fanshift.itinerary import (
+    _BLOCKS_2,
+    _BLOCKS_3,
     CantorCertificate,
     Letter,
     Word,
@@ -16,6 +20,7 @@ from fanshift.itinerary import (
     is_admissible,
     letters_with_domain,
     letters_with_range,
+    random_word,
 )
 from fanshift.mahavier import random_window_point, shift, unshift
 
@@ -50,6 +55,20 @@ def test_letter_normalization_and_ranges():
         Letter(0, 2)
     with pytest.raises(ValueError):
         Letter(3, 4)
+
+
+def test_letter_indices_are_attributes_outside_the_fields():
+    assert [f.name for f in dataclasses.fields(Letter)] == ["ell", "j"]
+    for ell in range(1, 10):
+        for j in (1, 2, 3):
+            lt = Letter(ell, j)
+            assert lt.domain_index == lt.ell == ell
+            assert lt.range_index == lt.ell + lt.j - 2
+    # the normalized interval-1 letter stays on interval 1
+    assert (Letter(1, 1).domain_index, Letter(1, 1).range_index) == (1, 1)
+    assert repr(Letter(1, 1)) == "Letter(ell=1, j=2)"
+    assert hash(Letter(1, 1)) == hash(Letter(1, 2))
+    assert sorted([Letter(3, 1), Letter(2, 3)]) == [Letter(2, 3), Letter(3, 1)]
 
 
 def test_letter_sets():
@@ -301,6 +320,72 @@ def test_addresses_separated_in_chunk_metric():
     values = sorted(3.0**-3 * address_value(cantor_address(w)) for w in words)
     gaps = [b - a for a, b in zip(values, values[1:])]
     assert min(gaps) >= 3.0**-12
+
+
+def _cantor_address_reference(word: Word, k: int | None = None) -> str:
+    """Verbatim copy of ``cantor_address`` from before it indexed the letter
+    tuple directly; the oracle for it."""
+    base = word.domain_at(0)
+    if k is not None and k != base:
+        raise ValueError(f"word has position-0 domain {base}, expected {k}")
+    digits: list[str] = []
+    for pos in encoding_positions(word.start, word.stop - 1):
+        lt = word.letter(pos)
+        if pos == 0:
+            candidates = letters_with_domain(base)
+        elif pos > 0:
+            candidates = letters_with_domain(word.letter(pos - 1).range_index)
+        else:
+            candidates = letters_with_range(word.domain_at(pos + 1))
+        rank = candidates.index(lt)
+        digits.append(_BLOCKS_2[rank] if len(candidates) == 2 else _BLOCKS_3[rank])
+    return "".join(digits)
+
+
+def test_cantor_address_matches_reference_exhaustively():
+    for k in range(1, 6):
+        for n in range(1, 8):
+            for start in range(1 - n, 1):
+                for w in iter_words(k, n, start=start):
+                    assert cantor_address(w, k) == _cantor_address_reference(w, k)
+    # position 0 right of the word, or one past its end
+    after, at_stop = Word((Letter(2, 2),) * 3, 1), Word((Letter(2, 2),) * 3, -3)
+    for codec in (cantor_address, _cantor_address_reference):
+        with pytest.raises(IndexError):
+            codec(after)
+        for k in (None, 2, 3):
+            with pytest.raises(ValueError):
+                codec(at_stop, k)
+
+
+def _random_word_reference(rng, k: int, *, left: int, right: int) -> Word:
+    """Verbatim copy of ``random_word`` from before it drew its left run
+    by appending; the oracle for it."""
+    if right < 1 or left < 0:
+        raise ValueError("need right >= 1 and left >= 0")
+    chain = [rng.choice(letters_with_domain(k))]
+    for _ in range(right - 1):
+        chain.append(rng.choice(letters_with_domain(chain[-1].range_index)))
+    for _ in range(left):
+        chain.insert(0, rng.choice(letters_with_range(chain[0].domain_index)))
+    return Word(tuple(chain), -left)
+
+
+def test_random_word_matches_reference():
+    # equal words and an equal next draw: the same rng calls were made
+    for seed in range(3):
+        for k in range(1, 7):
+            for left in range(9):
+                for right in range(1, 9):
+                    r, r_ref = rng(seed), rng(seed)
+                    got = random_word(r, k, left=left, right=right)
+                    assert got == _random_word_reference(r_ref, k, left=left, right=right)
+                    assert r.random() == r_ref.random()
+    for sampler in (random_word, _random_word_reference):
+        with pytest.raises(ValueError):
+            sampler(rng(0), 2, left=-1, right=1)
+        with pytest.raises(ValueError):
+            sampler(rng(0), 2, left=0, right=0)
 
 
 def test_address_value_examples():

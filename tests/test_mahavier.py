@@ -248,13 +248,21 @@ def test_dist_window_truncation_error_bound():
     st.integers(1, 5),
     st.integers(1, 8),
     st.integers(0, 3),
-    st.booleans(),
+    st.sampled_from(["random", 0.0, 1.0, "infinity"]),
+    st.sampled_from(["random", 0.0, 1.0, "infinity"]),
 )
-@settings(max_examples=150, deadline=None)
-def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, q_at_infinity):
+@settings(max_examples=200, deadline=None)
+def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, p_base, q_base):
     r = rng(seed)
-    p = random_window_point(r, kp, n + extra)
-    q = ALL_INFINITY if q_at_infinity else random_window_point(r, kq, n)
+
+    def point(k, half_width, base):
+        x = random_window_point(r, k, half_width)
+        if base == "infinity":
+            return ALL_INFINITY
+        return x if base == "random" else MPoint(x.word, XPoint(k, base))
+
+    p = point(kp, n + extra, p_base)
+    q = point(kq, n, q_base)
     two_sided = forward = 0.0
     for j in range(-n, n + 1):
         gap = dist(coords(p, j), coords(q, j)) / 2.0 ** abs(j)
@@ -265,6 +273,19 @@ def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, q_at_infinity
     assert _window_dists(p, q, cfg) == (two_sided, forward)
     assert dist_window(p, q, cfg) == two_sided
     assert forward <= two_sided
+    if not (p.is_all_infinity and q.is_all_infinity):
+        with pytest.raises(IndexError):
+            dist_window(p, q, WindowConfig(n + extra + 1))
+
+
+def test_window_dists_reject_a_trace_outside_the_unit_interval(monkeypatch):
+    # both metric paths range-check every traced coordinate
+    p = random_window_point(rng(6), 2, 3)
+    monkeypatch.setattr(Letter, "piece", lambda self, u, inverse=False: 1.5)
+    with pytest.raises(ValueError, match="outside"):
+        coord_range(p, -3, 3)
+    with pytest.raises(ValueError, match="outside"):
+        dist_window(p, ALL_INFINITY, WindowConfig(3))
 
 
 def test_pack_unpack_round_trip_exact():
