@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import NotDistinguished
 from .mahavier import chunk_x
-from .quotients import AParam, FanModel, build_fan, host_bundle
+from .quotients import AParam, FanModel, Leg, build_fan, host_bundle
 
 
 def endpoints(fan: FanModel) -> tuple[int, ...]:
@@ -71,9 +74,11 @@ class JumaProfile:
 
 
 def profile(fan: FanModel) -> JumaProfile:
-    hosts = fan._guests_by_host  # a leg with no guests has one height
-    counts = (juma_count(fan, e) if e in hosts else 1 for e in endpoints(fan))
-    return JumaProfile(tuple(sorted(counts)))
+    # every endpoint that hosts no guest has one height, and every count is
+    # at least 1, so the ones sort first
+    hosts = fan._guests_by_host
+    ones = len(fan.legs) - len(fan.guest_indices) - len(hosts)
+    return JumaProfile((1,) * ones + tuple(sorted(juma_count(fan, h) for h in hosts)))
 
 
 @dataclass
@@ -142,9 +147,7 @@ def distinguish(
 # ---------------------------------------------------------------------------
 
 
-def leg_x(fan: FanModel, leg_index: int) -> float:
-    """Horizontal position of a leg: its address embedded in its chunk."""
-    leg = fan.legs[leg_index]
+def _leg_column(leg: Leg) -> float:
     try:
         k = int(leg.bundle)
     except ValueError as exc:
@@ -154,14 +157,9 @@ def leg_x(fan: FanModel, leg_index: int) -> float:
     return chunk_x(k, leg.address)
 
 
-@dataclass
-class OracleResult:
-    """Detected accumulation points per maximal leg.
-
-    ``clusters`` maps a leg index to merged detection intervals (lo, hi).
-    """
-
-    clusters: dict
+def leg_x(fan: FanModel, leg_index: int) -> float:
+    """Horizontal position of a leg: its address embedded in its chunk."""
+    return _leg_column(fan.legs[leg_index])
 
 
 def _grid_hit(lo_h: float, hi_h: float, step: float, cells: int) -> bool:
@@ -174,6 +172,150 @@ def _grid_hit(lo_h: float, hi_h: float, step: float, cells: int) -> bool:
         if lo_h - 1e-15 <= idx * step <= hi_h + 1e-15:
             return True
     return False
+
+
+def _leg_clusters(reps, grid: float, cells: int) -> list[tuple[float, float]]:
+    """Kept detection intervals of one maximal leg.
+
+    ``reps`` lists the leg's representatives as (tips, rx, cap, me): the
+    sorted tip columns, local leg indices and tip lengths of the rep's
+    bundle (None when that bundle has no tips), the rep's column, the
+    height up to which it stands for the leg, and the leg's own local index
+    in those tips (-1 when it is not among them).
+    """
+    # exclude the top: nothing below half the finest grid step counts
+    floor = 0.5 * grid * min(cap for _, _, cap, _ in reps)
+    intervals: list[tuple[float, float]] = []
+    for tips, rx, cap, me in reps:
+        if tips is None:
+            continue
+        xs, order, hs = tips
+        # the nearest other tip is the first entry on each side of rx
+        # that is not the leg itself, which occurs at most once
+        p = bisect.bisect_left(xs, rx)
+        left = p - 2 if p > 0 and order[p - 1] == me else p - 1
+        right = p + 1 if p < len(xs) and order[p] == me else p
+        near = abs(xs[left] - rx) if left >= 0 else math.inf
+        if right < len(xs):
+            near = min(near, abs(xs[right] - rx))
+        delta = 1.5 * near
+        if not math.isfinite(delta) or delta <= 0.0:
+            continue
+        # every tip in [rx - delta, rx + delta]: walk outward from p
+        lo_x, hi_x = rx - delta, rx + delta
+        lo = hi = p
+        while lo > 0 and xs[lo - 1] >= lo_x:
+            lo -= 1
+        while hi < len(xs) and xs[hi] <= hi_x:
+            hi += 1
+        for q in range(lo, hi):
+            if order[q] == me:
+                continue
+            dx = xs[q] - rx
+            if abs(dx) > delta:
+                continue
+            s = math.sqrt(delta * delta - dx * dx)
+            eh = hs[q]
+            lo_h = max(eh - s, floor)
+            hi_h = min(eh + s, cap)
+            if lo_h <= hi_h:
+                intervals.append((lo_h, hi_h))
+
+    if not intervals:
+        return []
+    intervals.sort()
+    merged = [intervals[0]]
+    for lo_h, hi_h in intervals[1:]:
+        if lo_h <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi_h))
+        else:
+            merged.append((lo_h, hi_h))
+
+    # grid heights: relative subdivisions of every arc laid on this leg
+    steps = [cap * grid for _, _, cap, _ in reps]
+    kept = []
+    for lo_h, hi_h in merged:
+        for step in steps:
+            if _grid_hit(lo_h, hi_h, step, cells):
+                kept.append((lo_h, hi_h))
+                break
+    return kept
+
+
+def _agrees(expected, got) -> bool:
+    """One detection interval per expected height, each height inside one."""
+    if len(got) != len(expected):
+        return False
+    return all(any(lo <= h <= hi for lo, hi in got) for h in expected)
+
+
+class _BundleScan(NamedTuple):
+    """Detection over one bundle's tips, each leg taken without guests.
+
+    Legs are indexed locally, in the order given.  ``tips`` holds the tip
+    columns sorted by column, with the local index and length at each
+    sorted position.  Local leg j's kept clusters are the (lo, hi) pairs
+    ``bounds[2*starts[j]:2*starts[j+1]]``; ``misses`` lists the legs whose
+    clusters do not single out their own length.
+    """
+
+    tips: tuple[array, array, array]
+    starts: array
+    bounds: array
+    misses: array
+
+    def clusters(self, j: int) -> list[tuple[float, float]]:
+        b = self.bounds
+        return [(b[2 * c], b[2 * c + 1]) for c in range(*self.starts[j : j + 2])]
+
+
+@lru_cache(maxsize=32)  # a census depth has about 30 distinct bundle tip sets
+def _bundle_scan(legs: tuple[Leg, ...], grid: float) -> _BundleScan:
+    """Clusters of every leg of one bundle, keyed on the legs' content, so
+    fans that share a bundle's tips share its detection."""
+    cols = [_leg_column(leg) for leg in legs]
+    order = sorted(range(len(legs)), key=cols.__getitem__)  # stable: ties by index
+    tips = ([cols[j] for j in order], order, [legs[j].length for j in order])
+    cells = round(1.0 / grid)
+    starts, bounds, misses = array("i", [0]), array("d"), array("i")
+    for j, leg in enumerate(legs):
+        kept = _leg_clusters([(tips, cols[j], leg.length, j)], grid, cells)
+        for lo_h, hi_h in kept:
+            bounds.extend((lo_h, hi_h))
+        starts.append(len(bounds) // 2)
+        if not _agrees((leg.length,), kept):
+            misses.append(j)
+    xs, order, hs = tips
+    flat = array("d", xs), array("i", order), array("d", hs)
+    return _BundleScan(flat, starts, bounds, misses)
+
+
+class OracleResult:
+    """Detected accumulation points per maximal leg.
+
+    ``clusters`` maps a leg index to merged detection intervals (lo, hi), in
+    leg order; it is assembled on first read.  ``_scans`` holds, per
+    bundle, the global indices of its tips and their memoised, shared
+    ``_BundleScan``, valid for every leg that hosts no guest; ``_hosts``
+    holds each host's own clusters.
+    """
+
+    def __init__(self, scans: dict, hosts: dict):
+        self._scans = scans
+        self._hosts = hosts
+
+    @cached_property
+    def clusters(self) -> dict:
+        found = [(li, kept) for li, kept in self._hosts.items() if kept]
+        for idx, scan in self._scans.values():
+            starts = scan.starts
+            found.extend(
+                (li, scan.clusters(j))
+                for j, li in enumerate(idx)
+                if starts[j] < starts[j + 1] and li not in self._hosts
+            )
+        found.sort(key=itemgetter(0))
+        return dict(found)
 
 
 def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
@@ -196,117 +338,61 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
     one contiguous run, and the 1e-9 slack keeps (first + 1)*step above
     lo - 1e-15: the run, if it meets the candidates, contains ``first`` or
     ``first + 1``, and only those two are compared.
+
+    A leg that hosts no guest reads only its own bundle's tips, so each
+    bundle is scanned once per distinct tip set (``_bundle_scan``); hosts
+    are then detected from their own and their guests' columns.
     """
     if not (0.0 < grid < 1.0 and math.isfinite(1.0 / grid)):
         raise ValueError(f"grid must be in (0, 1) with a finite 1/grid, got {grid}")
-    guests = fan.guest_indices
-    maximal = [i for i in range(len(fan.legs)) if i not in guests]
-    # every leg is maximal or the guest of a maximal host
-    col = [leg_x(fan, i) for i in range(len(fan.legs))]
-
-    # endpoints by bundle, sorted by x, for windowed lookups
-    tips: dict[str, list[tuple[float, int, float]]] = {}
-    for i in maximal:
-        leg = fan.legs[i]
-        tips.setdefault(leg.bundle, []).append((col[i], i, leg.length))
-    for entries in tips.values():
-        entries.sort()
-    tip_xs = {bundle: [e[0] for e in entries] for bundle, entries in tips.items()}
+    legs, guests = fan.legs, fan.guest_indices
+    # tips by bundle: every leg that is not a guest, in leg order
+    by_bundle: dict[str, list[int]] = {}
+    for i, leg in enumerate(legs):
+        if i not in guests:
+            by_bundle.setdefault(leg.bundle, []).append(i)
+    scans = {
+        bundle: (idx, _bundle_scan(tuple(legs[i] for i in idx), grid))
+        for bundle, idx in by_bundle.items()
+    }
 
     cells = round(1.0 / grid)
-    clusters: dict[int, list[tuple[float, float]]] = {}
-
-    for li in maximal:
-        leg = fan.legs[li]
+    hosts = {}
+    for li, guests_of in fan._guests_by_host.items():
         # representatives of this leg's points: its own column plus each
         # glued guest's column, valid up to the guest's length
-        reps = [(col[li], leg.length, leg.bundle)]
-        for gi in fan.guests_of(li):
-            g = fan.legs[gi]
-            reps.append((col[gi], g.length, g.bundle))
-        # exclude the top: nothing below half the finest grid step counts
-        floor = 0.5 * grid * min(cap for _, cap, _ in reps)
-
-        intervals: list[tuple[float, float]] = []
-        for rx, cap, bundle in reps:
-            entries = tips.get(bundle, ())
-            xs = tip_xs.get(bundle, ())
-            # the nearest other tip is the first entry on each side of rx
-            # that is not li, which occurs at most once in the list
-            p = bisect.bisect_left(xs, rx)
-            left = p - 2 if p > 0 and entries[p - 1][1] == li else p - 1
-            right = p + 1 if p < len(xs) and entries[p][1] == li else p
-            near = abs(xs[left] - rx) if left >= 0 else math.inf
-            if right < len(xs):
-                near = min(near, abs(xs[right] - rx))
-            delta = 1.5 * near
-            if not math.isfinite(delta) or delta <= 0.0:
-                continue
-            # every tip in [rx - delta, rx + delta]: walk outward from p
-            lo_x, hi_x = rx - delta, rx + delta
-            lo = hi = p
-            while lo > 0 and xs[lo - 1] >= lo_x:
-                lo -= 1
-            while hi < len(xs) and xs[hi] <= hi_x:
-                hi += 1
-            for ex, ei, eh in entries[lo:hi]:
-                if ei == li:
-                    continue
-                dx = ex - rx
-                if abs(dx) > delta:
-                    continue
-                s = math.sqrt(delta * delta - dx * dx)
-                lo_h = max(eh - s, floor)
-                hi_h = min(eh + s, cap)
-                if lo_h <= hi_h:
-                    intervals.append((lo_h, hi_h))
-
-        if not intervals:
-            continue
-        intervals.sort()
-        merged = [intervals[0]]
-        for lo_h, hi_h in intervals[1:]:
-            if lo_h <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi_h))
-            else:
-                merged.append((lo_h, hi_h))
-
-        # grid heights: relative subdivisions of every arc laid on this leg
-        steps = [cap * grid for _, cap, _ in reps]
-        kept = []
-        for lo_h, hi_h in merged:
-            for step in steps:
-                if _grid_hit(lo_h, hi_h, step, cells):
-                    kept.append((lo_h, hi_h))
-                    break
-        if kept:
-            clusters[li] = kept
-
-    return OracleResult(clusters)
+        reps = []
+        for i in (li, *guests_of):
+            leg = legs[i]
+            tips, me = None, -1
+            if leg.bundle in scans:
+                idx, scan = scans[leg.bundle]
+                tips = scan.tips
+                p = bisect.bisect_left(idx, li)
+                if p < len(idx) and idx[p] == li:
+                    me = p
+            reps.append((tips, _leg_column(leg), leg.length, me))
+        hosts[li] = _leg_clusters(reps, grid, cells)
+    return OracleResult(scans, hosts)
 
 
 def oracle_agreement(fan: FanModel, grid: float = 2.0**-10) -> dict:
     """Compare the combinatorial heights with the metric oracle per leg."""
     result = juma_metric_oracle(fan, grid)
-    mismatches = []
-    hosts = fan._guests_by_host
-    for li in endpoints(fan):
-        # a leg with no guests has one height: its own length
-        expected = juma_heights(fan, li) if li in hosts else (fan.legs[li].length,)
-        got = result.clusters.get(li, [])
-        ok = len(got) == len(expected)
-        for h in expected:
-            for lo, hi in got:
-                if lo <= h <= hi:
-                    break
-            else:
-                ok = False
-        if not ok:
-            mismatches.append(
-                {
-                    "leg": li,
-                    "expected": list(expected),
-                    "clusters": [list(c) for c in got],
-                }
-            )
+    found = []
+    # a leg with no guests has one height: its own length
+    for idx, scan in result._scans.values():
+        for j in scan.misses:
+            li = idx[j]
+            if li not in result._hosts:
+                found.append((li, (fan.legs[li].length,), scan.clusters(j)))
+    for li, got in result._hosts.items():
+        expected = juma_heights(fan, li)
+        if not _agrees(expected, got):
+            found.append((li, expected, got))
+    found.sort(key=itemgetter(0))
+    mismatches = [
+        {"leg": li, "expected": list(expected), "clusters": [list(c) for c in got]}
+        for li, expected, got in found
+    ]
     return {"passed": not mismatches, "mismatches": mismatches}

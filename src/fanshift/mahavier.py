@@ -155,21 +155,6 @@ def unshift(p: MPoint) -> MPoint:
     return MPoint(Word._trusted(p.word.letters, p.word.start + 1), new_t0)
 
 
-def extend(p: MPoint, letter: Letter, side: str) -> MPoint:
-    """Grow the known window by one explicit transition."""
-    if p.is_all_infinity:
-        raise ValueError("cannot extend the all-infinity point")
-    if side == "right":
-        if letter.domain_index != p.word.domain_at(p.hi + 1):
-            raise ValueError("letter does not chain on the right")
-        return MPoint(Word(p.word.letters + (letter,), p.word.start), p.t0)
-    if side == "left":
-        if letter.range_index != p.word.domain_at(p.lo):
-            raise ValueError("letter does not chain on the left")
-        return MPoint(Word((letter,) + p.word.letters, p.word.start - 1), p.t0)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def _window_chart(p: MPoint, n: int) -> list[float]:
     """Chart images ``embed(coords(p, j))`` of coordinates -n..n, computed
     on floats: the interval trace goes through the chart without building

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fanshift import invariants
 from fanshift.errors import NotDistinguished
 from fanshift.invariants import (
     DistinguishCertificate,
     JumaProfile,
+    _bundle_scan,
     _grid_hit,
     distinguish,
     endpoints,
@@ -364,6 +366,67 @@ def test_oracle_witness_still_fails_at_leg_452():
     rep = oracle_agreement(fan)
     assert not rep["passed"]
     assert rep["mismatches"][0]["leg"] == 452
+
+
+def _assert_reference(fan, grid=2.0**-10):
+    got = juma_metric_oracle(fan, grid).clusters
+    want = _reference_oracle_clusters(fan, grid)
+    assert got == want
+    assert list(got) == list(want)
+    return got
+
+
+def test_bundle_memo_shared_across_parameters():
+    # (2,4,6,8) shares most bundle tip sets with (1,3,5,7) at the same
+    # depth; the warm memo must give it its own clusters
+    _bundle_scan.cache_clear()
+    _assert_reference(_corpus_fan(WITNESS, 4))
+    before = _bundle_scan.cache_info()
+    _assert_reference(_corpus_fan(AParam((2, 4, 6, 8)), 4))
+    after = _bundle_scan.cache_info()
+    assert after.hits > before.hits
+    assert after.misses > before.misses  # the bundles whose guests differ
+
+
+def test_bundle_memo_keyed_on_grid():
+    # at kb = 26 the deep bundles' clusters start at the grid's floor
+    fan = _corpus_fan(WITNESS, 3)
+    _bundle_scan.cache_clear()
+    fine = _assert_reference(fan, 2.0**-10)
+    misses = _bundle_scan.cache_info().misses
+    coarse = _assert_reference(fan, 2.0**-8)
+    assert _bundle_scan.cache_info().misses == 2 * misses
+    assert coarse != fine
+
+
+def test_bundle_memo_on_a_subset_of_a_bundle():
+    # a hand-built fan whose bundle "3" keeps only some of build_fan's legs,
+    # read while the memo holds the full bundle
+    full = build_fan(AParam((1,)), 4, 3)
+    host = full.gluings[0].host
+    assert full.legs[host].bundle == "3"
+    keep = [
+        i for i, leg in enumerate(full.legs)
+        if leg.bundle != "3" or i % 3 == 0 or i == host
+    ]
+    assert len(keep) < len(full.legs)
+    new = {old: i for i, old in enumerate(keep)}
+    fan = FanModel(
+        tuple(full.legs[i] for i in keep),
+        tuple(Gluing(new[g.host], new[g.guest]) for g in full.gluings),
+    )
+    _assert_reference(full)
+    _assert_reference(fan)
+
+
+def test_oracle_reads_no_combinatorial_rule(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the metric oracle read the combinatorial rule")
+
+    monkeypatch.setattr(invariants, "juma_heights", forbidden)
+    monkeypatch.setattr(invariants, "profile", forbidden)
+    _bundle_scan.cache_clear()
+    _assert_reference(_corpus_fan(WITNESS, 5))
 
 
 def _full_grid_scan(lo_h, hi_h, step, cells):

@@ -14,7 +14,6 @@ from fanshift.mahavier import (
     coords,
     diagonal_point,
     dist_window,
-    extend,
     fiber_length,
     height,
     m_index,
@@ -163,16 +162,6 @@ def test_shift_fixes_diagonal_coordinates():
     s = shift(p)
     for j in range(-5, 6):
         assert coords(s, j) == coords(p, j)
-
-
-def test_extend_grows_window():
-    p = diagonal_point(3, 0.5, 2)
-    q = extend(p, Letter(3, 3), "right")
-    assert q.hi == p.hi + 1
-    q2 = extend(p, Letter(4, 1), "left")
-    assert q2.lo == p.lo - 1
-    with pytest.raises(ValueError):
-        extend(p, Letter(5, 1), "right")
 
 
 def test_dist_window_zero_on_equal_points():
