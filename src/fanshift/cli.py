@@ -30,6 +30,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 
 from . import impression, invariants, itinerary, quotients, relations
 from .errors import FanshiftError, NotDistinguished
@@ -112,7 +113,7 @@ def _resolve(params, flags: dict, config: dict) -> dict:
 def _run_decomposition(kmax, samples, seed):
     rep = relations.decomposition_check(kmax, samples, seed=seed)
     witnesses = [rep.first_counterexample] if rep.first_counterexample else []
-    return rep.passed, witnesses, rep.to_dict()
+    return rep.passed, witnesses, asdict(rep)
 
 
 @_command("diam", ("kmax", int, 8), ("samples", int, 1000), ("window", int, 8))
@@ -168,7 +169,7 @@ def _run_cantor(kmax, depth, **_):
             min_branch, cert.min_right_branching, cert.min_left_branching
         )
         if not cert.passed:
-            witnesses.append(cert.to_dict())
+            witnesses.append(asdict(cert))
     return not witnesses, witnesses, {"min_branching": min_branch, "words_checked": words}
 
 
@@ -188,7 +189,7 @@ def _run_impression(seed_t, eps, depth, k_cut, m_max, n_max, k_max, **_):
         sp.xpoint() for sp in impression.symbolic_family(seed_t, m_max, n_max, k_max)
     )
     rep = impression.eps_dense_check(cloud, eps, k_cut)
-    return rep.passed, rep.uncovered, rep.to_dict()
+    return rep.passed, rep.uncovered, asdict(rep)
 
 
 @_command("hlavna")

@@ -19,7 +19,7 @@ class HypothesisViolated(FanshiftError):
     The offending sample is attached as ``witness``.
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 
@@ -27,7 +27,7 @@ class HypothesisViolated(FanshiftError):
 class WellDefinednessError(FanshiftError):
     """A map does not descend to equivalence classes; carries a witness pair."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 

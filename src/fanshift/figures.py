@@ -6,6 +6,7 @@ to six decimals so identical inputs yield byte-identical files.
 
 from __future__ import annotations
 
+import math
 from itertools import product as iter_product
 
 from .itinerary import address_value, cantor_address, iter_words
@@ -28,29 +29,29 @@ class Svg:
         self.height = height
         self.parts: list[str] = []
 
-    def line(self, x1, y1, x2, y2, stroke="#1f3552", width=1.0, dash=None):
+    def line(self, x1, y1, x2, y2, *, width, stroke="#1f3552", dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
             f' stroke="{stroke}" stroke-width="{_fmt(width)}"{d} />'
         )
 
-    def polyline(self, pts, stroke="#1f3552", width=1.0):
+    def polyline(self, pts, stroke, width):
         body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
             f'<polyline points="{body}" fill="none" stroke="{stroke}"'
             f' stroke-width="{_fmt(width)}" />'
         )
 
-    def circle(self, cx, cy, r, fill="#8c2d19"):
+    def circle(self, cx, cy, r):
         self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}" />'
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="#8c2d19" />'
         )
 
-    def text(self, x, y, s, size=14, fill="#333333"):
+    def text(self, x, y, s, size):
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}"'
-            f' font-family="sans-serif" fill="{fill}">{s}</text>'
+            f' font-family="sans-serif" fill="#333333">{s}</text>'
         )
 
     def render(self) -> str:
@@ -67,7 +68,7 @@ def _cantor_addresses(depth: int) -> list[float]:
     return sorted(address_value("".join(d)) for d in iter_product("02", repeat=depth))
 
 
-def fig_cantor_fan(depth: int = 6) -> str:
+def fig_cantor_fan(depth: int) -> str:
     """Straight legs from one apex to the points of a Cantor-set cross-bar."""
     svg = Svg(1000, 700)
     apex = (500.0, 660.0)
@@ -77,7 +78,7 @@ def fig_cantor_fan(depth: int = 6) -> str:
     return svg.render()
 
 
-def fig_dense_endpoint_fan(depth: int = 7, seed: int = 0) -> str:
+def fig_dense_endpoint_fan(depth: int, seed: int) -> str:
     """Decorative fan with endpoint heights smeared over the legs."""
     svg = Svg(1000, 700)
     apex = (500.0, 660.0)
@@ -95,29 +96,27 @@ def fig_dense_endpoint_fan(depth: int = 7, seed: int = 0) -> str:
     return svg.render()
 
 
-def fig_star_of_fans(depth: int = 5, copies: int = 6) -> str:
-    """Shrinking fan copies joined at a common apex."""
-    import math as _m
-
+def fig_star_of_fans(depth: int) -> str:
+    """Six shrinking fan copies joined at a common apex."""
     svg = Svg(1000, 700)
     apex = (500.0, 360.0)
-    for n in range(1, copies + 1):
+    for n in range(1, 7):
         r = 560.0 * 2.0**-n
         theta0 = -95.0 + 57.0 * n
         for c in _cantor_addresses(depth):
-            ang = _m.radians(theta0 + 36.0 * (c - 0.5))
+            ang = math.radians(theta0 + 36.0 * (c - 0.5))
             svg.line(
                 apex[0],
                 apex[1],
-                apex[0] + r * _m.cos(ang),
-                apex[1] + r * _m.sin(ang),
+                apex[0] + r * math.cos(ang),
+                apex[1] + r * math.sin(ang),
                 width=0.6,
             )
     svg.circle(apex[0], apex[1], 3.0)
     return svg.render()
 
 
-def fig_product_and_wedge(depth: int = 5) -> str:
+def fig_product_and_wedge(depth: int) -> str:
     """Left: Cantor set times interval; right: its vertical compression."""
     svg = Svg(1000, 700)
 
@@ -134,8 +133,9 @@ def fig_product_and_wedge(depth: int = 5) -> str:
     return svg.render()
 
 
-def fig_relation(kmax: int = 7, samples: int = 128) -> str:
-    """All six families of the relation drawn in chart coordinates."""
+def fig_relation(samples: int) -> str:
+    """All six families of the relation drawn in chart coordinates, over
+    intervals 1-7."""
     svg = Svg(1000, 1000)
 
     def pt(ex, ey):
@@ -157,21 +157,21 @@ def fig_relation(kmax: int = 7, samples: int = 128) -> str:
         curve.append(pt(embed(XPoint(2, u)), embed(XPoint(2, u * u))))
     svg.polyline(curve, stroke="#b4741e", width=1.6)
 
-    for k in range(1, kmax):
+    for k in range(1, 7):
         svg.line(
             *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + 1, 0.0))),
             *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + 1, 1.0))),
             stroke="#245c36",
             width=1.4,
         )
-    for k in range(2, kmax + 1):
+    for k in range(2, 8):
         svg.line(
             *pt(embed(XPoint(k, 0.0)), embed(XPoint(k - 1, 0.0))),
             *pt(embed(XPoint(k, 1.0)), embed(XPoint(k - 1, 1.0))),
             stroke="#2b5f8a",
             width=1.4,
         )
-    for k in range(3, kmax + 1):
+    for k in range(3, 8):
         svg.line(
             *pt(embed(XPoint(k, 0.0)), embed(XPoint(k, 0.0))),
             *pt(embed(XPoint(k, 1.0)), embed(XPoint(k, 1.0))),
@@ -182,14 +182,14 @@ def fig_relation(kmax: int = 7, samples: int = 128) -> str:
     return svg.render()
 
 
-def fig_model_space(kmax: int = 7, depth: int = 4) -> str:
-    """Cantor bundles of shrinking heights plus the compactification dot."""
+def fig_model_space(depth: int) -> str:
+    """Cantor bundles 1-7 of shrinking heights plus the compactification dot."""
     svg = Svg(1000, 700)
 
     def pt(c, tau):
         return 40.0 + 920.0 * c, 640.0 - 1100.0 * tau
 
-    for k in range(1, kmax + 1):
+    for k in range(1, 8):
         h = fiber_length(k)
         for w in iter_words(k, depth):
             c = chunk_x(k, cantor_address(w))
@@ -198,7 +198,7 @@ def fig_model_space(kmax: int = 7, depth: int = 4) -> str:
     return svg.render()
 
 
-def fig_gluing(a: AParam | None = None, depth: int = 3) -> str:
+def fig_gluing(a: AParam | None, depth: int) -> str:
     """Host arcs with their glued guests, one panel per parameter block."""
     if not a:
         a = AParam((2, 4))
@@ -211,8 +211,8 @@ def fig_gluing(a: AParam | None = None, depth: int = 3) -> str:
         jh = host_bundle(k)
         host_len = fiber_length(jh)
 
-        def hy(tau, top=host_len):
-            return 620.0 - 520.0 * (tau / top)
+        def hy(tau):
+            return 620.0 - 520.0 * (tau / host_len)
 
         cols = 2 + a[k]
         step = panel_w / cols
@@ -249,9 +249,9 @@ def render_figure(
     if figure_id == "fig4":
         return fig_product_and_wedge(depth or 5)
     if figure_id == "fig5":
-        return fig_relation(kmax=7, samples=(2 ** (depth or 7)))
+        return fig_relation(2 ** (depth or 7))
     if figure_id == "fig6":
-        return fig_model_space(kmax=7, depth=depth or 4)
+        return fig_model_space(depth or 4)
     if figure_id == "glue":
         return fig_gluing(a, depth or 3)
     raise ValueError(f"unknown figure id {figure_id!r}")

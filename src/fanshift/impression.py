@@ -26,7 +26,7 @@ from .mahavier import (
     _window_dists,
     dist_window,
 )
-from .xspace import INFINITY, XPoint, dist, embed
+from .xspace import INFINITY, XPoint, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
@@ -160,15 +160,6 @@ class DensityReport:
     k_cut: int
     net_size: int
     uncovered: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "eps": self.eps,
-            "k_cut": self.k_cut,
-            "net_size": self.net_size,
-            "uncovered": list(self.uncovered),
-        }
 
 
 def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
@@ -345,7 +336,6 @@ def transitive_orbit_builder(
     eps: float,
     cfg: WindowConfig,
     *,
-    k_cut: int | None = None,
     u_cells: int = 12,
     net: list[MPoint] | None = None,
     tries: int = 600,
@@ -364,10 +354,9 @@ def transitive_orbit_builder(
         raise ValueError(f"eps must be positive and finite, got {eps}")
     n = cfg.half_width
     if net is None:
-        net = build_net(eps, cfg, k_cut=k_cut, u_cells=u_cells)
+        net = build_net(eps, cfg, u_cells=u_cells)
     if not net:
         raise ValueError("net must be nonempty")
-    used_k_cut = k_cut if k_cut is not None else orbit_k_cut(eps, n)
     target = eps * 0.995
 
     # Position bookkeeping: letters occupy transitions -n, -n+1, ...; the
@@ -468,10 +457,10 @@ def transitive_orbit_builder(
 
     point = MPoint(Word(tuple(letters), -n), XPoint(letters[n].domain_index, values[n]))
     passed = all(v.dist <= eps for v in visits) and len(visits) == len(net)
-    return OrbitResult(point, net, visits, eps, cfg, used_k_cut, passed)
+    return OrbitResult(point, net, visits, eps, cfg, orbit_k_cut(eps, n), passed)
 
 
-def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
+def verify_orbit(result: OrbitResult) -> dict:
     """Re-check every recorded visit against the returned point alone.
 
     Walks the local coordinates of the orbit point once, outward from its
@@ -480,8 +469,7 @@ def verify_orbit(result: OrbitResult, *, eps: float | None = None) -> dict:
     visit whose window reaches past either end of the orbit word counts as
     uncovered.
     """
-    eps = result.eps if eps is None else eps
-    cfg = result.cfg
+    eps, cfg = result.eps, result.cfg
     n = cfg.half_width
     p = result.point
     lo, hi = p.lo, p.hi

@@ -69,9 +69,6 @@ class JumaProfile:
     def multiset(self) -> Counter:
         return Counter(self._tally)  # a copy, so the tally stays as counted
 
-    def to_dict(self) -> dict:
-        return {"counts": sorted(self._tally.items())}
-
 
 def profile(fan: FanModel) -> JumaProfile:
     # every endpoint that hosts no guest has one height, and every count is

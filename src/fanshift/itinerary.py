@@ -116,9 +116,6 @@ class Word:
         object.__setattr__(word, "start", start)
         return word
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @property
     def stop(self) -> int:
         """One past the last transition position."""
@@ -221,18 +218,6 @@ class CantorCertificate:
     counts_by_length: list[int]
     recurrence_counts: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "k": self.k,
-            "max_length": self.max_length,
-            "min_right_branching": self.min_right_branching,
-            "min_left_branching": self.min_left_branching,
-            "words_checked": self.words_checked,
-            "counts_by_length": list(self.counts_by_length),
-            "recurrence_counts": list(self.recurrence_counts),
-        }
-
 
 def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:
     """Check that no finite word can isolate an itinerary through interval k.
@@ -312,7 +297,7 @@ _BLOCKS_2 = ("0", "2")
 _BLOCKS_3 = ("00", "02", "20")
 
 
-def cantor_address(word: Word, k: int | None = None) -> str:
+def cantor_address(word: Word) -> str:
     """Injective, extension-consistent digit address over {0, 2}.
 
     At every encoding step the next letter is one of 2 or 3 candidates in
@@ -321,8 +306,6 @@ def cantor_address(word: Word, k: int | None = None) -> str:
     cylinders, and refining a word extends its digit string.
     """
     base = word.domain_at(0)
-    if k is not None and k != base:
-        raise ValueError(f"word has position-0 domain {base}, expected {k}")
     letters, start = word.letters, word.start
     digits: list[str] = []
     for pos in encoding_positions(start, word.stop - 1):

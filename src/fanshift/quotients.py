@@ -35,6 +35,10 @@ from .mahavier import (
     fiber_length,
     height,
     m_index,
+    model_map,
+    random_window_point,
+    shift,
+    unshift,
 )
 from .xspace import ROUNDTRIP_EPS, XPoint
 
@@ -157,19 +161,20 @@ def _sample_points(depth: int, t_cells: int) -> list[CPoint]:
     return pts
 
 
-def check_invariance(f: PMap, *, depth: int = 6, t_cells: int = 8) -> None:
-    """Require f to preserve both the vertex column and its complement.
+def check_invariance(f: PMap) -> None:
+    """Require f to preserve both the vertex column and its complement, on
+    8 height cells of the vertex column and every depth-6 address.
 
     Raises HypothesisViolated with the offending sample otherwise.
     """
-    for i in range(t_cells + 1):
-        p = CPoint("", i / t_cells)
+    for i in range(9):
+        p = CPoint("", i / 8)
         q = f(p)
         if q.c != 0.0:
             raise HypothesisViolated(
                 "map moves the vertex column off address zero", witness=p
             )
-    for p in _sample_points(depth, 2):
+    for p in _sample_points(6, 2):
         if p.c == 0.0:
             continue
         q = f(p)
@@ -179,13 +184,13 @@ def check_invariance(f: PMap, *, depth: int = 6, t_cells: int = 8) -> None:
             )
 
 
-def lift_f_R(f: PMap, *, depth: int = 6, t_cells: int = 8) -> PMap:
+def lift_f_R(f: PMap) -> PMap:
     """Descend f through the compression to a map of the wedge.
 
     The invariance hypotheses are sampled first; the lifted map evaluates
     by decompressing, applying f, and recompressing, with the vertex pinned.
     """
-    check_invariance(f, depth=depth, t_cells=t_cells)
+    check_invariance(f)
 
     def f_R(p: CPoint) -> CPoint:
         if p.c == 0.0:
@@ -231,46 +236,36 @@ class HlavnaReport:
         }
 
 
-def check_hlavna(
-    f: PMap,
-    *,
-    name: str = "map",
-    depth: int = 6,
-    t_cells: int = 16,
-    surj_eps: float = 0.05,
-    collision_eps: float = 1e-9,
-    separation_eps: float = 1e-6,
-    vertex_depth: int = 12,
-    vertex_eps: float = 1e-3,
-) -> HlavnaReport:
+def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
     """Sampled surjectivity, injectivity and vertex continuity of the lift.
 
-    Surjectivity is a cover check: wedge samples must lie within surj_eps
-    of the image of the sampled product.  Injectivity fails on a collision
-    between images of samples separated by more than separation_eps.  Both
-    are exact sorted sweeps over all N samples, not windows: O(N log N) plus
-    the pairs that first coordinates alone do not separate.  Vertex
-    continuity follows a sequence of columns shrinking to the vertex and
-    requires the image norms to shrink below vertex_eps.
+    The product sample is every depth-6 address times 16 height cells.
+    Surjectivity is a cover check: wedge samples must lie within 0.05 of
+    the image of the sampled product.  Injectivity fails on a collision
+    (closer than 1e-9) between images of samples more than 1e-6 apart.
+    Both are exact sorted sweeps over all N samples, not windows:
+    O(N log N) plus the pairs that first coordinates alone do not separate.
+    Vertex continuity follows 12 columns shrinking to the vertex and
+    requires the image norms to shrink below 1e-3.
     """
     try:
-        f_R = lift_f_R(f, depth=depth, t_cells=8)
+        f_R = lift_f_R(f)
     except HypothesisViolated as exc:
         w = exc.witness
         return HlavnaReport(
             name, False, math.inf, False, False, math.inf, False,
-            witness={"address": w.address, "t": w.t} if w is not None else None,
+            witness={"address": w.address, "t": w.t},
         )
 
-    wedge_targets = [phi(p) for p in _sample_points(depth, t_cells)]
+    wedge_targets = [phi(p) for p in _sample_points(6, 16)]
     images = [(q.c, q.t) for q in map(f_R, wedge_targets)]
     gap = _cover_gap([(q.c, q.t) for q in wedge_targets], images)
-    surj_ok = gap <= surj_eps
+    surj_ok = gap <= 0.05
 
     witness = None
-    for i, j in _collisions(images, collision_eps):
+    for i, j in _collisions(images, 1e-9):
         a, b = wedge_targets[i], wedge_targets[j]
-        if cpoint_dist(a, b) > separation_eps:
+        if cpoint_dist(a, b) > 1e-6:
             witness = {"a": {"address": a.address, "t": a.t},
                        "b": {"address": b.address, "t": b.t}}
             break
@@ -279,7 +274,7 @@ def check_hlavna(
     tail = 0.0
     prev = math.inf
     vertex_ok = True
-    for i in range(1, vertex_depth + 1):
+    for i in range(1, 13):
         addr = "0" * i + "2"
         col = CPoint(addr, 0.0).c
         worst = 0.0
@@ -290,7 +285,7 @@ def check_hlavna(
             vertex_ok = False
         prev = max(worst, 1e-300)
         tail = worst
-    if tail > vertex_eps:
+    if tail > 1e-3:
         vertex_ok = False
 
     return HlavnaReport(name, True, gap, surj_ok, inj_ok, tail, vertex_ok, witness)
@@ -326,39 +321,33 @@ def density_transfer_report(
     }
 
 
-def check_conjugated_shift(
-    samples: list[MPoint],
-    *,
-    depth: int = 4,
-    collision_eps: float = 1e-9,
-) -> dict:
-    """Sampled homeomorphism evidence for the shift seen in model coordinates.
+def check_conjugated_shift(samples: list[MPoint]) -> dict:
+    """Sampled homeomorphism evidence for the shift seen in model coordinates
+    at depth 4.
 
-    Injectivity: model images of shifted samples must not collide when the
-    samples' model points differ; an exact sorted sweep finds every close
-    image pair in O(N log N) plus the pairs that first coordinates alone do
-    not separate.  Surjectivity: every sample exhibits an explicit preimage
-    via the inverse shift, whose image may miss the sample's model point
-    only by piece round trips (``ROUNDTRIP_EPS``).  Continuity at the
+    Injectivity: model images of shifted samples must not come closer than
+    1e-9 when the samples' model points lie more than 1e-8 apart; an exact
+    sorted sweep finds every close image pair in O(N log N) plus the pairs
+    that first coordinates alone do not separate.  Surjectivity: every
+    sample exhibits an explicit preimage via the inverse shift, whose image
+    may miss the sample's model point only by piece round trips
+    (``ROUNDTRIP_EPS``).  Continuity at the
     compactification point: shifted diagonal points of deep intervals must
     have model coordinates tending to (1, 0).  Fewer than two samples raise
     ValueError.
     """
-    from .mahavier import model_map, shift, unshift
-
     if len(samples) < 2:
         raise ValueError("the conjugated-shift check needs at least 2 samples")
-    srcs = [model_map(p, depth) for p in samples]
-    imgs = [model_map(shift(p), depth) for p in samples]
+    srcs = [model_map(p, 4) for p in samples]
+    imgs = [model_map(shift(p), 4) for p in samples]
     inj_ok = not any(
-        max(abs(srcs[i][0] - srcs[j][0]), abs(srcs[i][1] - srcs[j][1]))
-        > 10 * collision_eps
-        for i, j in _collisions(imgs, collision_eps)
+        max(abs(srcs[i][0] - srcs[j][0]), abs(srcs[i][1] - srcs[j][1])) > 1e-8
+        for i, j in _collisions(imgs, 1e-9)
     )
 
     surj_gap = 0.0
     for p, src in zip(samples, srcs):
-        back = model_map(shift(unshift(p)), depth)
+        back = model_map(shift(unshift(p)), 4)
         surj_gap = max(
             surj_gap, abs(back[0] - src[0]), abs(back[1] - src[1])
         )
@@ -368,7 +357,7 @@ def check_conjugated_shift(
     cont_ok = True
     prev = math.inf
     for j in range(3, 14):
-        c, t = model_map(shift(diagonal_point(j, 0.5, 4)), depth)
+        c, t = model_map(shift(diagonal_point(j, 0.5, 4)), 4)
         gap = max(abs(1.0 - c), abs(t))
         if gap > prev * 4.0:
             cont_ok = False
@@ -487,25 +476,17 @@ def sim_a(x: MPoint, y: MPoint, a: AParam) -> bool:
     return False
 
 
-def glued_pair(k: int, i: int, guest_u: float, half_width: int = 8) -> tuple[MPoint, MPoint]:
+def glued_pair(k: int, i: int, guest_u: float) -> tuple[MPoint, MPoint]:
     """Host/guest diagonal points at equal model heights (exact rescale)."""
     jh = host_bundle(k)
     jg = jh + i
     tau = guest_u * fiber_length(jg)
     host_u = tau / fiber_length(jh)
-    return (
-        diagonal_point(jh, host_u, half_width),
-        diagonal_point(jg, guest_u, half_width),
-    )
+    return diagonal_point(jh, host_u), diagonal_point(jg, guest_u)
 
 
 def descend(
-    f: Callable[[MPoint], MPoint],
-    a: AParam,
-    *,
-    rng,
-    pairs: int = 200,
-    half_width: int = 8,
+    f: Callable[[MPoint], MPoint], a: AParam, *, rng, pairs: int = 200
 ) -> None:
     """Sample that f descends to classes, checking well-definedness both ways.
 
@@ -514,19 +495,17 @@ def descend(
     with the witness pair.  The descended map acts on a class through any
     representative, so callers compare images with ``sim_a`` directly.
     """
-    from .mahavier import random_window_point
-
     sample_pairs: list[tuple[MPoint, MPoint]] = []
     for k in range(1, len(a) + 1):
         for i in range(1, a[k] + 1):
             for _ in range(3):
-                sample_pairs.append(glued_pair(k, i, rng.random(), half_width))
+                sample_pairs.append(glued_pair(k, i, rng.random()))
     for _ in range(pairs):
         k = rng.randint(1, 4)
-        p = random_window_point(rng, k, half_width)
+        p = random_window_point(rng, k)
         zero = MPoint(p.word, XPoint(p.t0.k, 0.0))
         sample_pairs.append((zero, MPoint.all_infinity()))
-        q = random_window_point(rng, rng.randint(1, 4), half_width)
+        q = random_window_point(rng, rng.randint(1, 4))
         sample_pairs.append((p, p))
         sample_pairs.append((p, q))
 
@@ -617,6 +596,15 @@ def _bundle_legs(k: int, depth: int) -> tuple[Leg, ...]:
     return tuple(Leg(str(k), addr, length) for addr in addresses)
 
 
+@lru_cache(maxsize=256)
+def _fan_leg_count(kmax_bundle: int, depth: int) -> int:
+    """Legs of a fan over bundles 1..kmax_bundle, from the branching
+    recurrence; computed once per (kmax_bundle, depth)."""
+    return sum(
+        count_words_recurrence(k, depth)[-1] for k in range(1, kmax_bundle + 1)
+    )
+
+
 def identity_address(j: int, depth: int) -> str:
     """Address of the diagonal itinerary in bundle j >= 3."""
     return cantor_address(Word((Letter(j, 2),) * depth))
@@ -640,9 +628,7 @@ def build_fan(a: AParam, kmax_bundle: int, depth: int) -> FanModel:
                 f"parameter coordinate {k} needs bundle {need}, "
                 f"model stops at {kmax_bundle}"
             )
-    total = sum(
-        count_words_recurrence(k, depth)[-1] for k in range(1, kmax_bundle + 1)
-    )
+    total = _fan_leg_count(kmax_bundle, depth)
     if total > ENUMERATION_CAP:
         raise ResourceCapExceeded(
             f"fan with {kmax_bundle} bundles at depth {depth} has {total} legs, "

@@ -135,15 +135,6 @@ class DecompositionReport:
     first_counterexample: dict | None = None
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples_checked": self.samples_checked,
-            "kmax": self.kmax,
-            "first_counterexample": self.first_counterexample,
-            "notes": list(self.notes),
-        }
-
 
 def decomposition_check(
     kmax: int,
@@ -176,26 +167,13 @@ def decomposition_check(
                 yield XPoint(k, rng.random())
 
     for x in sample_points():
-        if set(h_image(x)) != {global_apply(n, x) for n in GLOBAL_MAPS}:
-            return DecompositionReport(
-                False,
-                checked,
-                kmax,
-                first_counterexample={
-                    "point": {"k": x.k, "u": x.u},
-                    "side": "forward",
-                },
-            )
-        if set(h_preimage(x)) != {global_inverse(n, x) for n in GLOBAL_MAPS}:
-            return DecompositionReport(
-                False,
-                checked,
-                kmax,
-                first_counterexample={
-                    "point": {"k": x.k, "u": x.u},
-                    "side": "inverse",
-                },
-            )
+        for side, section, maps in (
+            ("forward", h_image, global_apply),
+            ("inverse", h_preimage, global_inverse),
+        ):
+            if set(section(x)) != {maps(n, x) for n in GLOBAL_MAPS}:
+                witness = {"point": {"k": x.k, "u": x.u}, "side": side}
+                return DecompositionReport(False, checked, kmax, witness)
         checked += 1
 
     return DecompositionReport(True, checked, kmax)

@@ -25,24 +25,17 @@ REPORT_SCHEMA = {
 
 
 def make_report(
-    name: str,
-    params: dict,
-    passed: bool,
-    witnesses: list,
-    timings: dict | None = None,
-    extra: dict | None = None,
+    name: str, params: dict, passed: bool, witnesses: list, timings: dict, extra: dict
 ) -> dict:
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "params": params,
         "pass": passed,
         "witnesses": witnesses,
-        "timings": timings or {},
+        "timings": timings,
+        "extra": extra,
     }
-    if extra is not None:
-        report["extra"] = extra
-    return report
 
 
 def dump_report(report: dict) -> str:

@@ -293,7 +293,8 @@ def test_verify_orbit_walks_the_orbit_once(small_orbit, monkeypatch):
     finite = sum(not res.net[v.net_index].is_all_infinity for v in res.visits)
     monkeypatch.setattr(Letter, "piece", counting)
     assert verify_orbit(res)["passed"]
-    assert len(calls) == len(res.point.word) + 2 * n * (len(res.visits) + finite)
+    letters = len(res.point.word.letters)
+    assert len(calls) == letters + 2 * n * (len(res.visits) + finite)
     assert len(calls) == 2876
 
 

@@ -229,7 +229,6 @@ def test_oracle_agreement_on_corpus():
 def test_profile_dataclass_shape():
     prof = JumaProfile((1, 1, 2))
     assert prof.distinct_values == {1, 2}
-    assert prof.to_dict() == {"counts": [(1, 2), (2, 1)]}
 
 
 # ---------------------------------------------------------------------------

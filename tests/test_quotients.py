@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanshift import quotients
 from fanshift.errors import (
     HypothesisViolated,
     ResourceCapExceeded,
@@ -176,7 +177,7 @@ def test_conjugated_shift_sampler():
         k = r.randint(1, 3)
         word = random_word(r, k, left=6, right=6)
         samples.append(MPoint(word, XPoint(k, r.random())))
-    rep = check_conjugated_shift(samples, depth=4)
+    rep = check_conjugated_shift(samples)
     assert rep["passed"], rep
 
 
@@ -473,6 +474,27 @@ def test_build_fan_leg_count_and_cap():
     assert all(x is y for x, y in zip(build_fan(AParam(()), 4, 3).legs, other.legs))
     with pytest.raises(ResourceCapExceeded, match=f"over cap {ENUMERATION_CAP}$"):
         build_fan(AParam(()), 5, 12)
+
+
+def test_build_fan_counts_legs_once_per_size(monkeypatch):
+    # the leg total of a (kmax_bundle, depth) is computed at most once:
+    # after one fan of each size, more fans of those sizes count nothing
+    calls = []
+
+    def counted(k, n):
+        calls.append((k, n))
+        return count_words_recurrence(k, n)
+
+    monkeypatch.setattr(quotients, "count_words_recurrence", counted)
+    build_fan(AParam(()), 5, 3)
+    build_fan(AParam(()), 4, 4)
+    warm = len(calls)
+    assert warm <= 5 + 4
+    for _ in range(3):
+        for a in (AParam(()), AParam((1,)), AParam((2,))):
+            build_fan(a, 5, 3)
+        build_fan(AParam(()), 4, 4)
+    assert calls[warm:] == []
 
 
 def test_fan_model_invariants():

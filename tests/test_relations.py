@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -181,6 +182,6 @@ def test_decomposition_check_counts_both_endpoints():
 
 def test_decomposition_report_serializable():
     rep = decomposition_check(2, 10, seed=1)
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["passed"] is True
     assert set(d) == {"passed", "samples_checked", "kmax", "first_counterexample", "notes"}

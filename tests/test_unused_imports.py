@@ -3,6 +3,7 @@
 A stdlib ``ast`` scan: every name an ``import`` binds must be read somewhere
 in the module, as a name, as the base of an attribute, inside a quoted
 annotation, or by being listed in ``__all__`` (the package's re-exports).
+Binding the same name, such as a dataclass field, is not a read.
 """
 
 import ast
@@ -28,7 +29,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -53,6 +54,8 @@ def test_scan_finds_unused_imports():
         "__all__ = ['exported']\n"
         "def f(a: 'Sequence[int]') -> float:\n"
         "    return math.pi + choice(a)\n"
+        "class Visit:\n"
+        "    R: float\n"
     )
     assert unused_imports(source) == ["R (line 4)", "os (line 3)"]
 
