@@ -30,7 +30,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict
 
 from . import impression, invariants, itinerary, quotients, relations
 from .errors import FanshiftError, NotDistinguished
@@ -109,11 +108,12 @@ def _resolve(params, flags: dict, config: dict) -> dict:
     return values
 
 
+# a report record's attributes are its report form, so ``vars`` serializes it
 @_command("decomposition", ("kmax", int, 8), ("samples", int, 1000))
 def _run_decomposition(kmax, samples, seed):
     rep = relations.decomposition_check(kmax, samples, seed=seed)
     witnesses = [rep.first_counterexample] if rep.first_counterexample else []
-    return rep.passed, witnesses, asdict(rep)
+    return rep.passed, witnesses, vars(rep)
 
 
 @_command("diam", ("kmax", int, 8), ("samples", int, 1000), ("window", int, 8))
@@ -169,7 +169,7 @@ def _run_cantor(kmax, depth, **_):
             min_branch, cert.min_right_branching, cert.min_left_branching
         )
         if not cert.passed:
-            witnesses.append(asdict(cert))
+            witnesses.append(vars(cert))
     return not witnesses, witnesses, {"min_branching": min_branch, "words_checked": words}
 
 
@@ -189,7 +189,7 @@ def _run_impression(seed_t, eps, depth, k_cut, m_max, n_max, k_max, **_):
         sp.xpoint() for sp in impression.symbolic_family(seed_t, m_max, n_max, k_max)
     )
     rep = impression.eps_dense_check(cloud, eps, k_cut)
-    return rep.passed, rep.uncovered, asdict(rep)
+    return rep.passed, rep.uncovered, vars(rep)
 
 
 @_command("hlavna")
@@ -199,14 +199,14 @@ def _run_hlavna(**_):
         quotients.check_hlavna(quotients.swap_digit_map, name="digit-swap"),
     ]
     crush = quotients.check_hlavna(quotients.vertex_crush_map, name="vertex-crush")
-    witnesses = [r.to_dict() for r in reports if not r.passed]
+    witnesses = [vars(r) for r in reports if not r.passed]
     rejected = not crush.hypothesis_ok and crush.witness is not None
     if not rejected:
-        witnesses.append({"check": "violator", "report": crush.to_dict()})
+        witnesses.append({"check": "violator", "report": vars(crush)})
     passed = all(r.passed for r in reports) and rejected
     return passed, witnesses, {
-        "maps": [r.to_dict() for r in reports],
-        "violator": crush.to_dict(),
+        "maps": [vars(r) for r in reports],
+        "violator": vars(crush),
     }
 
 

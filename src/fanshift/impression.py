@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
+from operator import attrgetter
 
 from .errors import PathNotFound, ResourceCapExceeded
 from .itinerary import Letter, Word, iter_words, letters_with_domain
@@ -26,7 +26,7 @@ from .mahavier import (
     _window_dists,
     dist_window,
 )
-from .xspace import INFINITY, XPoint, embed
+from .xspace import INFINITY, XPoint, _Frozen, _set, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
@@ -70,7 +70,8 @@ def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoin
                     seen.add(st)
                     if len(seen) > cap:
                         raise ResourceCapExceeded(
-                            f"reachability from {s} exceeded cap {cap}"
+                            f"reachability from XPoint(k={s.k}, u={s.u!r}) "
+                            f"exceeded cap {cap}"
                         )
                     nxt.append(st)
         frontier = nxt
@@ -79,8 +80,7 @@ def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoin
     return {XPoint(k, value(m, n)) for k, m, n in seen}
 
 
-@dataclass(frozen=True)
-class SymbolicPoint:
+class SymbolicPoint(_Frozen):
     """The point of interval k at local coordinate t_base^(2^m / 3^n).
 
     The triple (m, n, k) identifies the point exactly; ``path`` is an
@@ -88,11 +88,17 @@ class SymbolicPoint:
     (interval 1, coordinate t_base).
     """
 
-    t_base: Fraction
-    m: int
-    n: int
-    k: int
-    path: tuple[Letter, ...] = ()
+    __slots__ = ("t_base", "m", "n", "k", "path")
+    _key = attrgetter("t_base", "m", "n", "k", "path")
+
+    def __init__(
+        self, t_base: Fraction, m: int, n: int, k: int, path: tuple[Letter, ...] = ()
+    ):
+        _set(self, "t_base", t_base)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "path", path)
 
     @property
     def value(self) -> float:
@@ -129,6 +135,8 @@ def symbolic_family(
     t_base: Fraction | float, m_max: int, n_max: int, k_max: int
 ) -> list[SymbolicPoint]:
     """Every reachable exponent point in the (m, n, k) box, with witnesses."""
+    from fractions import Fraction  # only this command reads exact fractions
+
     t = Fraction(t_base).limit_denominator(10**12) if not isinstance(
         t_base, Fraction
     ) else t_base
@@ -153,13 +161,17 @@ def default_k_cut(eps: float) -> int:
     return max(8, math.ceil(-math.log(eps, 4.0)) + 1)
 
 
-@dataclass
 class DensityReport:
-    passed: bool
-    eps: float
-    k_cut: int
-    net_size: int
-    uncovered: list = field(default_factory=list)
+    """Net points the sample misses; its attributes are its report form."""
+
+    def __init__(
+        self, passed: bool, eps: float, k_cut: int, net_size: int, uncovered: list
+    ):
+        self.passed = passed
+        self.eps = eps
+        self.k_cut = k_cut
+        self.net_size = net_size
+        self.uncovered = uncovered
 
 
 def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
@@ -210,22 +222,36 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Visit:
-    net_index: int
-    time: int
-    dist: float
+    """A claimed visit: the orbit window at ``time`` lies ``dist`` from net
+    element ``net_index``."""
+
+    __slots__ = ("net_index", "time", "dist")
+
+    def __init__(self, net_index: int, time: int, dist: float):
+        self.net_index = net_index
+        self.time = time
+        self.dist = dist
 
 
-@dataclass
 class OrbitResult:
-    point: MPoint
-    net: list[MPoint]
-    visits: list[Visit]
-    eps: float
-    cfg: WindowConfig
-    k_cut: int
-    passed: bool
+    def __init__(
+        self,
+        point: MPoint,
+        net: list[MPoint],
+        visits: list[Visit],
+        eps: float,
+        cfg: WindowConfig,
+        k_cut: int,
+        passed: bool,
+    ):
+        self.point = point
+        self.net = net
+        self.visits = visits
+        self.eps = eps
+        self.cfg = cfg
+        self.k_cut = k_cut
+        self.passed = passed
 
     def to_dict(self) -> dict:
         return {
@@ -283,11 +309,15 @@ def _run_values(u: float, run) -> list[float]:
     return values
 
 
-# exponents up to 2^60 so even a value one ulp below 1 can be pulled back
-# toward the middle of the fiber in a single connector
-_EXPONENTS: list[tuple[float, int, int]] = sorted(
-    (2.0**m / 3.0**n, m, n) for m in range(61) for n in range(61)
-)
+@lru_cache(maxsize=None)
+def _exponents() -> tuple[tuple[float, int, int], ...]:
+    """The exponent lattice (2^m / 3^n, m, n), m, n <= 60, sorted; built on
+    first use, so commands that never steer do not pay for it.  Exponents
+    reach 2^60 so even a value one ulp below 1 can be pulled back toward the
+    middle of the fiber in a single connector."""
+    return tuple(
+        sorted((2.0**m / 3.0**n, m, n) for m in range(61) for n in range(61))
+    )
 
 
 def _steer_candidates(u_cur: float, v_target: float, tries: int):
@@ -296,22 +326,23 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
 
     Powers within INTERIOR_GUARD of 0 or 1 are skipped so the orbit stays
     strictly inside the fiber and later connectors can keep steering.  For
-    0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_EXPONENTS``,
+    0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_exponents()``,
     so bisection finds both guard limits and the crossing of v_target; the
     distance grows walking outward from the crossing on either side, and
     each run of equal distances is yielded in (m + n, m, n) order.
     """
+    exps = _exponents()
 
     def neg_power(entry: tuple[float, int, int]) -> float:
         return -(u_cur ** entry[0])
 
-    lo = bisect.bisect_right(_EXPONENTS, -(1.0 - INTERIOR_GUARD), key=neg_power)
-    hi = bisect.bisect_left(_EXPONENTS, -INTERIOR_GUARD, lo, key=neg_power)
-    mid = bisect.bisect_left(_EXPONENTS, -v_target, lo, hi, key=neg_power)
+    lo = bisect.bisect_right(exps, -(1.0 - INTERIOR_GUARD), key=neg_power)
+    hi = bisect.bisect_left(exps, -INTERIOR_GUARD, lo, key=neg_power)
+    mid = bisect.bisect_left(exps, -v_target, lo, hi, key=neg_power)
 
     def gap(i: int) -> float:
         if lo <= i < hi:
-            return abs(u_cur ** _EXPONENTS[i][0] - v_target)
+            return abs(u_cur ** exps[i][0] - v_target)
         return math.inf
 
     left, right = mid - 1, mid
@@ -320,11 +351,11 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
         d = min(d_left, d_right)
         run = []
         while d_left == d:
-            run.append(_EXPONENTS[left][1:])
+            run.append(exps[left][1:])
             left -= 1
             d_left = gap(left)
         while d_right == d:
-            run.append(_EXPONENTS[right][1:])
+            run.append(exps[right][1:])
             right += 1
             d_right = gap(right)
         run.sort(key=lambda mn: (mn[0] + mn[1], mn))

@@ -18,20 +18,14 @@ import bisect
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import NotDistinguished
 from .mahavier import chunk_x
 from .quotients import AParam, FanModel, Leg, build_fan, host_bundle
-
-
-def endpoints(fan: FanModel) -> tuple[int, ...]:
-    """Indices of legs whose tips are endpoints: everything not a guest."""
-    guests = fan.guest_indices
-    return tuple(i for i in range(len(fan.legs)) if i not in guests)
+from .xspace import _Frozen, _set
 
 
 def juma_heights(fan: FanModel, leg_index: int) -> tuple[float, ...]:
@@ -52,11 +46,14 @@ def juma_count(fan: FanModel, leg_index: int) -> int:
     return len(juma_heights(fan, leg_index))
 
 
-@dataclass(frozen=True)
-class JumaProfile:
+class JumaProfile(_Frozen):
     """Sorted multiset of accumulation counts, one per endpoint."""
 
-    counts: tuple[int, ...]
+    # no __slots__: the cached tally lives in the instance dict
+    _key = attrgetter("counts")
+
+    def __init__(self, counts: tuple[int, ...]):
+        _set(self, "counts", counts)
 
     @cached_property
     def _tally(self) -> Counter:
@@ -78,15 +75,22 @@ def profile(fan: FanModel) -> JumaProfile:
     return JumaProfile((1,) * ones + tuple(sorted(juma_count(fan, h) for h in hosts)))
 
 
-@dataclass
 class DistinguishCertificate:
     """Witness that two gluing parameters give non-homeomorphic fans."""
 
-    k: int
-    first_value: int
-    second_value: int
-    first_counts: dict
-    second_counts: dict
+    def __init__(
+        self,
+        k: int,
+        first_value: int,
+        second_value: int,
+        first_counts: dict,
+        second_counts: dict,
+    ):
+        self.k = k
+        self.first_value = first_value
+        self.second_value = second_value
+        self.first_counts = first_counts
+        self.second_counts = second_counts
 
     def to_dict(self) -> dict:
         return {

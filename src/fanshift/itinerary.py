@@ -19,34 +19,35 @@ model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapExceeded
-from .xspace import cbrt
+from .xspace import _Frozen, _set, cbrt
 
 ENUMERATION_CAP = 10**6
 # words per expanded slice in cantor_certificate's level walk
 _LEVEL_SLICE = 1024
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    ell: int
-    j: int
+class Letter(_Frozen):
+    __slots__ = ("ell", "j", "domain_index", "range_index")
+    # domain_index and range_index are derived: eq and hash read (ell, j)
+    _key = attrgetter("ell", "j")
 
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"letter domain index must be >= 1, got {self.ell}")
-        if self.j not in (1, 2, 3):
-            raise ValueError(f"letter kind must be 1, 2 or 3, got {self.j}")
-        if self.ell == 1 and self.j == 1:
+    def __init__(self, ell: int, j: int):
+        if ell < 1:
+            raise ValueError(f"letter domain index must be >= 1, got {ell}")
+        if j not in (1, 2, 3):
+            raise ValueError(f"letter kind must be 1, 2 or 3, got {j}")
+        if ell == 1 and j == 1:
             # canonical form of the identified pair of letters on interval 1
-            object.__setattr__(self, "j", 2)
-        # plain attributes, not fields: eq, hash, order and repr read (ell, j)
-        object.__setattr__(self, "domain_index", self.ell)
-        object.__setattr__(self, "range_index", self.ell + self.j - 2)
+            j = 2
+        _set(self, "ell", ell)
+        _set(self, "j", j)
+        _set(self, "domain_index", ell)
+        _set(self, "range_index", ell + j - 2)
 
     def piece(self, u: float, inverse: bool = False) -> float:
         """The letter's increasing bijection of [0, 1] on the local coordinate.
@@ -89,8 +90,7 @@ def is_admissible(letters: Sequence[Letter]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A finite admissible run of letters over consecutive transitions.
 
     ``letters[i]`` governs the transition at position ``start + i``; the
@@ -98,22 +98,24 @@ class Word:
     coordinate.
     """
 
-    letters: tuple[Letter, ...]
-    start: int = 0
+    __slots__ = ("letters", "start")
+    _key = attrgetter("letters", "start")
 
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: tuple[Letter, ...], start: int = 0):
+        if not letters:
             raise ValueError("word must contain at least one letter")
-        if not is_admissible(self.letters):
+        if not is_admissible(letters):
             raise ValueError("letters do not chain admissibly")
+        _set(self, "letters", letters)
+        _set(self, "start", start)
 
     @classmethod
     def _trusted(cls, letters: tuple[Letter, ...], start: int) -> "Word":
         """A word over letters already known to chain, e.g. a run of an
         existing word; skips the admissibility check."""
         word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        object.__setattr__(word, "start", start)
+        _set(word, "letters", letters)
+        _set(word, "start", start)
         return word
 
     @property
@@ -205,18 +207,29 @@ def count_words_recurrence(k: int, n: int) -> list[int]:
     return counts
 
 
-@dataclass
 class CantorCertificate:
-    """Branching audit over all words of length <= n through interval k."""
+    """Branching audit over all words of length <= n through interval k;
+    its attributes are its report form."""
 
-    passed: bool
-    k: int
-    max_length: int
-    min_right_branching: int
-    min_left_branching: int
-    words_checked: int
-    counts_by_length: list[int]
-    recurrence_counts: list[int]
+    def __init__(
+        self,
+        passed: bool,
+        k: int,
+        max_length: int,
+        min_right_branching: int,
+        min_left_branching: int,
+        words_checked: int,
+        counts_by_length: list[int],
+        recurrence_counts: list[int],
+    ):
+        self.passed = passed
+        self.k = k
+        self.max_length = max_length
+        self.min_right_branching = min_right_branching
+        self.min_left_branching = min_left_branching
+        self.words_checked = words_checked
+        self.counts_by_length = counts_by_length
+        self.recurrence_counts = recurrence_counts
 
 
 def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:

@@ -13,49 +13,50 @@ at most 2^-(N+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import RangeError, WindowExhausted
 from .itinerary import Letter, Word, address_value, cantor_address, random_word
-from .xspace import INFINITY, XPoint, _chart
+from .xspace import INFINITY, XPoint, _chart, _Frozen, _set
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(_Frozen):
     """Half-width N of the coordinate window used by the product metric."""
 
-    half_width: int = 8
+    __slots__ = ("half_width",)
+    _key = attrgetter("half_width")
 
-    def __post_init__(self):
-        if self.half_width < 1:
+    def __init__(self, half_width: int = 8):
+        if half_width < 1:
             raise ValueError("window half-width must be >= 1")
+        _set(self, "half_width", half_width)
 
 
-@dataclass(frozen=True)
-class MPoint:
+class MPoint(_Frozen):
     """Window point: word plus base coordinate, or the all-infinity point.
 
     The word must contain transition 0 and the base coordinate's interval
     index must equal the domain of the letter there.
     """
 
-    word: Word | None
-    t0: XPoint
+    __slots__ = ("word", "t0")
+    _key = attrgetter("word", "t0")
 
-    def __post_init__(self):
-        if self.word is None:
-            if not self.t0.is_infinity:
+    def __init__(self, word: Word | None, t0: XPoint):
+        if word is None:
+            if not t0.is_infinity:
                 raise ValueError("wordless point must sit at infinity")
-            return
-        if self.t0.is_infinity:
+        elif t0.is_infinity:
             raise ValueError("finite-window point needs a finite base coordinate")
-        if not (self.word.start <= 0 < self.word.stop):
+        elif not (word.start <= 0 < word.stop):
             raise ValueError("word must contain transition 0")
-        if self.word.domain_at(0) != self.t0.k:
+        elif word.domain_at(0) != t0.k:
             raise ValueError(
-                f"base coordinate lies in interval {self.t0.k}, "
-                f"word expects {self.word.domain_at(0)}"
+                f"base coordinate lies in interval {t0.k}, "
+                f"word expects {word.domain_at(0)}"
             )
+        _set(self, "word", word)
+        _set(self, "t0", t0)
 
     @classmethod
     def all_infinity(cls) -> "MPoint":

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from operator import attrgetter
 from typing import Callable
 
 from .errors import (
@@ -40,30 +40,30 @@ from .mahavier import (
     shift,
     unshift,
 )
-from .xspace import ROUNDTRIP_EPS, XPoint
+from .xspace import ROUNDTRIP_EPS, XPoint, _Frozen, _set
 
 # ---------------------------------------------------------------------------
 # The product, the wedge, and lifting through the vertical compression
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CPoint:
+class CPoint(_Frozen):
     """A point of the product: middle-thirds address times a height in [0,1].
 
     Addresses are finite words over {0, 2}; trailing zeros are stripped so
     each point of the Cantor set has one representation.
     """
 
-    address: str
-    t: float
+    # no __slots__: the cached address value ``c`` lives in the instance dict
+    _key = attrgetter("address", "t")
 
-    def __post_init__(self):
-        if any(d not in "02" for d in self.address):
-            raise ValueError(f"address digits must be 0 or 2: {self.address!r}")
-        object.__setattr__(self, "address", self.address.rstrip("0"))
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError(f"height {self.t!r} outside [0, 1]")
+    def __init__(self, address: str, t: float):
+        if any(d not in "02" for d in address):
+            raise ValueError(f"address digits must be 0 or 2: {address!r}")
+        if not (0.0 <= t <= 1.0):
+            raise ValueError(f"height {t!r} outside [0, 1]")
+        _set(self, "address", address.rstrip("0"))
+        _set(self, "t", t)
 
     @cached_property
     def c(self) -> float:
@@ -200,40 +200,30 @@ def lift_f_R(f: PMap) -> PMap:
     return f_R
 
 
-@dataclass
 class HlavnaReport:
-    """Sampled evidence that a lifted map keeps homeomorphism properties."""
+    """Sampled evidence that a lifted map keeps homeomorphism properties;
+    its attributes are its report form."""
 
-    map_name: str
-    hypothesis_ok: bool
-    surjectivity_gap: float
-    surjectivity_ok: bool
-    injectivity_ok: bool
-    vertex_tail: float
-    vertex_ok: bool
-    witness: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.hypothesis_ok
-            and self.surjectivity_ok
-            and self.injectivity_ok
-            and self.vertex_ok
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map_name,
-            "hypothesis_ok": self.hypothesis_ok,
-            "surjectivity_gap": self.surjectivity_gap,
-            "surjectivity_ok": self.surjectivity_ok,
-            "injectivity_ok": self.injectivity_ok,
-            "vertex_tail": self.vertex_tail,
-            "vertex_ok": self.vertex_ok,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+    def __init__(
+        self,
+        map_name: str,
+        hypothesis_ok: bool,
+        surjectivity_gap: float,
+        surjectivity_ok: bool,
+        injectivity_ok: bool,
+        vertex_tail: float,
+        vertex_ok: bool,
+        witness: dict | None = None,
+    ):
+        self.map = map_name
+        self.hypothesis_ok = hypothesis_ok
+        self.surjectivity_gap = surjectivity_gap
+        self.surjectivity_ok = surjectivity_ok
+        self.injectivity_ok = injectivity_ok
+        self.vertex_tail = vertex_tail
+        self.vertex_ok = vertex_ok
+        self.passed = hypothesis_ok and surjectivity_ok and injectivity_ok and vertex_ok
+        self.witness = witness
 
 
 def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
@@ -381,18 +371,19 @@ def check_conjugated_shift(samples: list[MPoint]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AParam:
+class AParam(_Frozen):
     """Gluing parameter: coordinate k picks 2k-1 or 2k guest arcs."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+    _key = attrgetter("coords")
 
-    def __post_init__(self):
-        for pos, a in enumerate(self.coords, start=1):
+    def __init__(self, coords: tuple[int, ...]):
+        for pos, a in enumerate(coords, start=1):
             if a not in (2 * pos - 1, 2 * pos):
                 raise ValueError(
                     f"coordinate {pos} must be {2 * pos - 1} or {2 * pos}, got {a}"
                 )
+        _set(self, "coords", coords)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -486,7 +477,7 @@ def glued_pair(k: int, i: int, guest_u: float) -> tuple[MPoint, MPoint]:
 
 
 def descend(
-    f: Callable[[MPoint], MPoint], a: AParam, *, rng, pairs: int = 200
+    f: Callable[[MPoint], MPoint], a: AParam, *, rng, pairs: int
 ) -> None:
     """Sample that f descends to classes, checking well-definedness both ways.
 
@@ -527,21 +518,26 @@ def descend(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leg:
-    bundle: str
-    address: str
-    length: float
+class Leg(_Frozen):
+    __slots__ = ("bundle", "address", "length")
+    _key = attrgetter("bundle", "address", "length")
+
+    def __init__(self, bundle: str, address: str, length: float):
+        _set(self, "bundle", bundle)
+        _set(self, "address", address)
+        _set(self, "length", length)
 
 
-@dataclass(frozen=True)
-class Gluing:
-    host: int
-    guest: int
+class Gluing(_Frozen):
+    __slots__ = ("host", "guest")
+    _key = attrgetter("host", "guest")
+
+    def __init__(self, host: int, guest: int):
+        _set(self, "host", host)
+        _set(self, "guest", guest)
 
 
-@dataclass(frozen=True)
-class FanModel:
+class FanModel(_Frozen):
     """Truncated fan: legs hanging from one top, plus isometric gluings.
 
     Each gluing lays the guest leg onto the host's lower segment of the
@@ -549,21 +545,20 @@ class FanModel:
     once, and guests never host.
     """
 
-    legs: tuple[Leg, ...]
-    gluings: tuple[Gluing, ...] = ()
-    top: str = "o"
+    # no __slots__: the cached gluing indices live in the instance dict
+    _key = attrgetter("legs", "gluings", "top")
 
-    def __post_init__(self):
+    def __init__(
+        self, legs: tuple[Leg, ...], gluings: tuple[Gluing, ...] = (), top: str = "o"
+    ):
         guests = set()
         hosts = set()
-        for g in self.gluings:
-            if not (0 <= g.host < len(self.legs)) or not (
-                0 <= g.guest < len(self.legs)
-            ):
+        for g in gluings:
+            if not (0 <= g.host < len(legs)) or not (0 <= g.guest < len(legs)):
                 raise ValueError("gluing references a missing leg")
             if g.host == g.guest:
                 raise ValueError("leg cannot be glued to itself")
-            if self.legs[g.guest].length > self.legs[g.host].length:
+            if legs[g.guest].length > legs[g.host].length:
                 raise ValueError("guest must not be longer than its host")
             if g.guest in guests:
                 raise ValueError("leg glued as guest twice")
@@ -571,6 +566,9 @@ class FanModel:
             hosts.add(g.host)
         if guests & hosts:
             raise ValueError("a guest leg cannot also host")
+        _set(self, "legs", legs)
+        _set(self, "gluings", gluings)
+        _set(self, "top", top)
 
     @cached_property
     def guest_indices(self) -> frozenset[int]:

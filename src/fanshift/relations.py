@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .itinerary import letters_with_domain, letters_with_range
 from .xspace import INFINITY, ROUNDTRIP_EPS, XPoint, cbrt
@@ -125,21 +124,28 @@ def h_preimage(y: XPoint) -> tuple[XPoint, ...]:
     )
 
 
-@dataclass
 class DecompositionReport:
-    """Outcome of the graph-cover check, serializable for CLI reports."""
+    """Outcome of the graph-cover check; its attributes are its report form."""
 
-    passed: bool
-    samples_checked: int
-    kmax: int
-    first_counterexample: dict | None = None
-    notes: list = field(default_factory=list)
+    def __init__(
+        self,
+        passed: bool,
+        samples_checked: int,
+        kmax: int,
+        first_counterexample: dict | None = None,
+    ):
+        self.passed = passed
+        self.samples_checked = samples_checked
+        self.kmax = kmax
+        self.first_counterexample = first_counterexample
+        self.notes: list = []
 
 
 def decomposition_check(
     kmax: int,
     samples_per_interval: int,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> DecompositionReport:
     """Verify that the relation equals the union of the three graphs.
 

@@ -10,7 +10,7 @@ diameter exactly ``2^(1-2k)`` and the intervals accumulate at infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 # The one float slack of the package.  The relation's pieces are computed
 # exactly up to rounding, so every comparison between quantities computed the
@@ -27,8 +27,40 @@ def cbrt(u: float) -> float:
     return r - (r * r * r - u) / (3.0 * r * r)
 
 
-@dataclass(frozen=True)
-class XPoint:
+# sets an attribute past the read-only guard of ``_Frozen``; only
+# ``__init__`` methods (and trusted constructors) call it
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the hashed value types.
+
+    Equality and hashing read the fields that the class's ``_key`` getter
+    returns, and only between instances of one class.  Attributes are set
+    once, with ``_set``; assigning or deleting one afterwards raises.  It
+    lives here because every module that defines a value type imports this
+    one.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set or delete {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+
+class XPoint(_Frozen):
     """A point of the compactum.
 
     ``k`` is the 1-based interval index and ``u`` the local coordinate in
@@ -36,17 +68,18 @@ class XPoint:
     the point at infinity.  A local coordinate outside [0, 1] is rejected.
     """
 
-    k: int | None
-    u: float = 0.0
+    __slots__ = ("k", "u")
+    _key = attrgetter("k", "u")
 
-    def __post_init__(self):
-        if self.k is None:
-            object.__setattr__(self, "u", 0.0)
-            return
-        if self.k < 1:
-            raise ValueError(f"interval index must be >= 1, got {self.k}")
-        if not (0.0 <= self.u <= 1.0):
-            raise ValueError(f"local coordinate {self.u!r} outside [0, 1]")
+    def __init__(self, k: int | None, u: float = 0.0):
+        if k is None:
+            u = 0.0
+        elif k < 1:
+            raise ValueError(f"interval index must be >= 1, got {k}")
+        elif not (0.0 <= u <= 1.0):
+            raise ValueError(f"local coordinate {u!r} outside [0, 1]")
+        _set(self, "k", k)
+        _set(self, "u", u)
 
     @property
     def is_infinity(self) -> bool:

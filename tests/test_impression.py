@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from fanshift.errors import PathNotFound
 from fanshift.impression import (
     INTERIOR_GUARD,
-    _EXPONENTS,
+    OrbitResult,
     Visit,
+    _exponents,
     _steer_candidates,
     build_net,
     default_k_cut,
@@ -116,7 +116,7 @@ def test_reachable_monotone_in_depth():
     "seed",
     [XPoint(k, 0.37) for k in (1, 2, 3, 5)]
     + [XPoint(k, u) for k in (1, 2, 3) for u in (0.0, 1.0)],
-    ids=str,
+    ids=lambda s: f"XPoint(k={s.k}, u={s.u!r})",
 )
 def test_reachable_matches_explicit_step_tables(seed):
     for depth in range(11):
@@ -234,6 +234,11 @@ def small_orbit():
     return transitive_orbit_builder(0.25, WindowConfig(1), u_cells=4)
 
 
+def _replaced(result, **changes):
+    """A new orbit result with some of the builder's fields replaced."""
+    return OrbitResult(**{**vars(result), **changes})
+
+
 def test_orbit_consecutive_pairs_admissible(small_orbit):
     p = small_orbit.point
     trace = coord_range(p, p.lo, p.hi + 1)
@@ -252,7 +257,7 @@ def test_verify_orbit_rejects_a_moved_base(small_orbit):
     p = small_orbit.point
     assert p.t0.u != 0.5
     moved = MPoint(p.word, XPoint(p.t0.k, 0.5))
-    check = verify_orbit(dataclasses.replace(small_orbit, point=moved))
+    check = verify_orbit(_replaced(small_orbit, point=moved))
     assert check["passed"] is False
     assert check["coverage"] < 1.0
 
@@ -261,7 +266,7 @@ def test_verify_orbit_rejects_a_moved_visit_time(small_orbit):
     visits = list(small_orbit.visits)
     v = visits[5]
     visits[5] = Visit(v.net_index, v.time + 1, v.dist)
-    check = verify_orbit(dataclasses.replace(small_orbit, visits=visits))
+    check = verify_orbit(_replaced(small_orbit, visits=visits))
     assert check["passed"] is False
     assert check["coverage"] < 1.0
 
@@ -273,7 +278,7 @@ def test_verify_orbit_counts_a_visit_past_the_word_end_as_uncovered(small_orbit)
     v = visits[-1]
     assert v.time + n == p.hi + 1
     visits[-1] = Visit(v.net_index, v.time + 1, v.dist)
-    check = verify_orbit(dataclasses.replace(small_orbit, visits=visits))
+    check = verify_orbit(_replaced(small_orbit, visits=visits))
     assert check["passed"] is False
     assert check["covered"] == check["net_size"] - 1
 
@@ -335,6 +340,8 @@ def test_orbit_failure_names_the_interior_guard():
 # ---------------------------------------------------------------------------
 # Steering: the lazy walk against a brute-force ranking of the whole lattice
 # ---------------------------------------------------------------------------
+
+_EXPONENTS = _exponents()
 
 
 def _ranked_reference(u_cur, v_target, tries):

@@ -72,7 +72,8 @@ def test_cpoint_canonicalizes_address():
     p = CPoint("202", 0.5)
     assert p.c == CPoint("202", 0.5).c
     assert p == CPoint("202", 0.5) and hash(p) == hash(CPoint("202", 0.5))
-    assert repr(p) == "CPoint(address='202', t=0.5)"
+    assert (CPoint("20200", 0.5).address, CPoint("20200", 0.5).t) == ("202", 0.5)
+    assert CPoint("20200", 0.5) == p
 
 
 def test_phi_examples():
@@ -142,7 +143,7 @@ def test_invariance_violation_detected():
 def test_check_hlavna_identity_and_product_pass():
     for f, name in ((identity_map, "identity"), (swap_digit_map, "swap")):
         rep = check_hlavna(f, name=name)
-        assert rep.passed, rep.to_dict()
+        assert rep.passed, vars(rep)
         assert rep.surjectivity_gap <= 1e-9
         assert rep.vertex_tail <= 1e-3
 

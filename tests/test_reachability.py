@@ -46,7 +46,6 @@ ALLOWED = {
     "errors.WellDefinednessError.__init__": ("failure", "descend finds a witness pair"),
     "invariants._BundleScan.clusters": ("failure", "oracle_agreement reports a missed leg"),
     "invariants.OracleResult.clusters": ("oracle", "the metric oracle's per-leg result"),
-    "invariants.endpoints": ("oracle", "endpoint list that profile() only counts"),
     "invariants.leg_x": ("oracle", "leg column of the tests' planar fan samples"),
     "mahavier.coord_range": ("acceptance", "criterion 5 through coords; a tracer span"),
     "mahavier.coords": ("acceptance", "criterion 5 reads zero-height coordinates"),
@@ -60,6 +59,7 @@ ALLOWED = {
     "relations.in_H": ("oracle", "the literal relation the letter table is checked against"),
     "xspace.XPoint.ambient": ("acceptance", "criterion 5 reads ambient positions"),
     "xspace.dist": ("benchmark", "tracer counter; the chart metric of the tests"),
+    "xspace._Frozen.__setattr__": ("failure", "rejects assigning to an immutable value"),
 }
 
 SWEEP = r"""

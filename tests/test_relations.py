@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import pytest
@@ -176,12 +176,13 @@ def test_decomposition_check_fails_one_ulp_off(name, side, monkeypatch):
 def test_decomposition_check_counts_both_endpoints():
     for samples in (1, 0, -3):
         with pytest.raises(ValueError, match="samples_per_interval must be >= 2"):
-            decomposition_check(2, samples)
-    assert decomposition_check(2, 2).samples_checked == 2 * 2 + 1
+            decomposition_check(2, samples, seed=0)
+    assert decomposition_check(2, 2, seed=0).samples_checked == 2 * 2 + 1
 
 
 def test_decomposition_report_serializable():
+    # the CLI serializes a report record as its attributes, ``vars(rep)``
     rep = decomposition_check(2, 10, seed=1)
-    d = dataclasses.asdict(rep)
+    d = json.loads(json.dumps(vars(rep)))
     assert d["passed"] is True
     assert set(d) == {"passed", "samples_checked", "kmax", "first_counterexample", "notes"}
