@@ -1,15 +1,18 @@
 """Command-line entry point: verification experiments and figure rendering.
 
 Usage:
-    fanshift render <fig1|fig2|fig3|fig4|fig5|fig6|glue> --out PATH
-                    [--depth D] [--a A] [--seed S] [--config PATH]
+    fanshift render <fig1|fig2|fig3|fig4|fig5|fig6> --out PATH
+                    [--depth D] [--seed S] [--config PATH]
+    fanshift render glue --out PATH [--depth D] [--a A] [--seed S]
+                    [--config PATH]
     fanshift verify <name> [params] [--report PATH] [--timings]
                     [--config PATH] [--seed S]
     fanshift schema
 
 ``COMMANDS`` lists every verify name with its runner and its parameters;
 each parameter's flag, config key, cast and default come from that one
-entry.  A flag the command does not read is a usage error.
+entry, and ``_RENDER_PARAMS`` does the same per figure.  A flag the command
+or figure does not read is a usage error.
 
 Exit codes: 0 when a command (and its check) succeeds, 1 when a
 verification fails, 2 on usage errors, including invalid parameter values,
@@ -50,7 +53,9 @@ from .xspace import XPoint, embed, interval_diameter
 # a parameter is (name, cast, default); a callable default is computed
 # from the values resolved before it
 _SEED = ("seed", int, 0)
-_RENDER_PARAMS = (("depth", int, None), ("a", AParam.parse, None))
+_RENDER_PARAMS = {fig: (("depth", int, None),) for fig in FIGURE_IDS}
+# the gluing parameter is read by the gluing figure only
+_RENDER_PARAMS["glue"] += (("a", AParam.parse, None),)
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -275,9 +280,9 @@ def _run_distinguish(a, b, kmax, depth, **_):
 
 @_command("orbit", ("eps", float, 0.125), ("window", int, 2), ("u_cells", int, 12))
 def _run_orbit(eps, window, u_cells, **_):
-    result = impression.transitive_orbit_builder(
-        eps, WindowConfig(window), u_cells=u_cells
-    )
+    cfg = WindowConfig(window)
+    net = impression.build_net(eps, cfg, u_cells=u_cells)
+    result = impression.transitive_orbit_builder(eps, cfg, net=net)
     check = impression.verify_orbit(result)
     passed = result.passed and check["passed"]
     witnesses = [] if passed else [check]
@@ -296,9 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     render = sub.add_parser("render", help="write an SVG figure")
-    render.add_argument("figure", choices=FIGURE_IDS)
-    render.add_argument("--out", required=True)
-    _add_params(render, _RENDER_PARAMS)
+    figures = render.add_subparsers(dest="figure", required=True)
+    for fig, params in _RENDER_PARAMS.items():
+        cmd = figures.add_parser(fig)
+        cmd.add_argument("--out", required=True)
+        _add_params(cmd, params)
 
     verify = sub.add_parser("verify", help="run a verification experiment")
     names = verify.add_subparsers(dest="name", required=True)
@@ -330,7 +337,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "render":
-        params = _RENDER_PARAMS
+        params = _RENDER_PARAMS[args.figure]
     else:
         run, params = COMMANDS[args.name]
     # invalid parameter values and unreadable config files are usage errors

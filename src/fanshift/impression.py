@@ -30,6 +30,8 @@ from .xspace import INFINITY, XPoint, _Frozen, _set, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
+# exponent candidates a connector tries before the builder gives up
+TRIES = 600
 # exponent steps (doublings, third-roots) of the two bending letters: the
 # square on interval 2 and the cube root on interval 1; every other letter
 # only translates
@@ -268,22 +270,21 @@ class OrbitResult:
 
 def orbit_k_cut(eps: float, half_width: int) -> int:
     """Smallest interval cutoff covered by the all-infinity net point."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     k = 2
     while 2.0 ** (2 - 2 * (k + 1) + half_width) > eps:
         k += 1
     return k
 
 
-def build_net(
-    eps: float, cfg: WindowConfig, *, k_cut: int | None = None, u_cells: int = 12
-) -> list[MPoint]:
+def build_net(eps: float, cfg: WindowConfig, *, u_cells: int = 12) -> list[MPoint]:
     """Window-space net: every admissible window word up to the interval
     cutoff, crossed with a height grid, plus the all-infinity point."""
+    n = cfg.half_width
+    k_cut = orbit_k_cut(eps, n)
     if u_cells < 1:
         raise ValueError(f"u_cells must be >= 1, got {u_cells}")
-    n = cfg.half_width
-    if k_cut is None:
-        k_cut = orbit_k_cut(eps, n)
     net: list[MPoint] = []
     for k in range(1, k_cut + 1):
         for word in iter_words(k, 2 * n, start=-n):
@@ -298,15 +299,6 @@ def _pull_back(u: float, word: Word, upto: int) -> float:
     for pos in range(-1, upto - 1, -1):
         u = word.letter(pos).piece(u, inverse=True)
     return u
-
-
-def _run_values(u: float, run) -> list[float]:
-    """The coordinate after each letter of ``run``, starting from ``u``."""
-    values = []
-    for lt in run:
-        u = lt.piece(u)
-        values.append(u)
-    return values
 
 
 @lru_cache(maxsize=None)
@@ -364,12 +356,7 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
 
 
 def transitive_orbit_builder(
-    eps: float,
-    cfg: WindowConfig,
-    *,
-    u_cells: int = 12,
-    net: list[MPoint] | None = None,
-    tries: int = 600,
+    eps: float, cfg: WindowConfig, *, net: list[MPoint] | None = None
 ) -> OrbitResult:
     """Assemble one finite orbit whose windows pass near every net element.
 
@@ -377,15 +364,14 @@ def transitive_orbit_builder(
     a connector descends to interval 1, adjusts the local coordinate with
     third-root and squaring steps chosen from an exponent lattice, climbs
     to the element's window, then copies the element's letters.  Every
-    claimed visit is checked against the window metric before it is
-    recorded; if no lattice candidate lands within eps the construction
-    aborts instead of guessing.
+    claimed visit is measured once, on the orbit's own window, before it is
+    recorded; a connector that misses is taken back, and if no lattice
+    candidate lands within eps the construction aborts instead of guessing.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     n = cfg.half_width
+    k_cut = orbit_k_cut(eps, n)
     if net is None:
-        net = build_net(eps, cfg, u_cells=u_cells)
+        net = build_net(eps, cfg)
     if not net:
         raise ValueError("net must be nonempty")
     target = eps * 0.995
@@ -399,9 +385,24 @@ def transitive_orbit_builder(
 
     def push(run) -> None:
         letters.extend(run)
-        values.extend(_run_values(values[-1], run))
+        u = values[-1]
+        for lt in run:
+            u = lt.piece(u)
+            values.append(u)
 
     visits: list[Visit] = []
+
+    def visit(oi: int, time: int) -> bool:
+        """Record a visit to net element ``oi`` at orbit ``time`` if the
+        orbit's window there lies within the target distance of it."""
+        # a run of the orbit word, which is checked whole once it is built
+        sl = Word._trusted(tuple(letters[time : time + 2 * n]), -n)
+        p = MPoint(sl, XPoint(letters[time + n].domain_index, values[time + n]))
+        d = dist_window(p, net[oi], cfg)
+        if d > target:
+            return False
+        visits.append(Visit(oi, time, d))
+        return True
 
     # the orbit must start from a finite element; infinity elements are
     # visited by climbing, so push them to the back of the schedule
@@ -413,16 +414,8 @@ def transitive_orbit_builder(
     u_seed = min(1.0 - 2.0**-20, max(2.0**-20, seed_elem.t0.u))
     values.append(_pull_back(u_seed, seed_elem.word, -n))
     push(seed_elem.word.slice(-n, n - 1).letters)
-
-    def window_point(time: int) -> MPoint:
-        # a run of the orbit word, which is checked whole once it is built
-        sl = Word._trusted(tuple(letters[time : time + 2 * n]), -n)
-        return MPoint(sl, XPoint(letters[time + n].domain_index, values[time + n]))
-
-    d0 = dist_window(window_point(0), seed_elem, cfg)
-    if d0 > target:
+    if not visit(order[0], 0):
         raise PathNotFound("seed element not matched; refine the height grid")
-    visits.append(Visit(order[0], 0, d0))
 
     for oi in order[1:]:
         elem = net[oi]
@@ -439,46 +432,28 @@ def transitive_orbit_builder(
             push(climb + [Letter(k_vis, 2)] * (2 * n))
             # the identity block covers orbit transitions block-n..block+n-1,
             # so the visited window is centered at orbit time ``block``
-            vis_time = block
-            d = dist_window(window_point(vis_time), elem, cfg)
-            if d > target:
+            if not visit(oi, block):
                 raise PathNotFound("infinity element not matched; raise k_vis")
-            visits.append(Visit(oi, vis_time, d))
             continue
 
         word = elem.word
         central = list(word.slice(-n, n - 1).letters)
-        u_q = elem.t0.u
         d_left = word.domain_at(-n)
-        v_target = _pull_back(u_q, word, -n)
-
-        found = False
+        v_target = _pull_back(elem.t0.u, word, -n)
+        size = len(letters)
         tried = 0
-        for m, n_steps in _steer_candidates(u_cur, v_target, tries):
-            tried += 1
+        candidates = _steer_candidates(u_cur, v_target, TRIES)
+        for tried, (m, n_steps) in enumerate(candidates, 1):
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            run = conn + central
-            run_values = _run_values(u_cur, run)
-            u0_vis, u_end = run_values[-n - 1], run_values[-1]
-            if not 0.0 < u_end < 1.0:
-                # an exact endpoint would pin every later coordinate there
-                continue
-            p_vis = MPoint(word, XPoint(word.domain_at(0), u0_vis))
-            d = dist_window(p_vis, elem, cfg)
-            if d <= target:
-                base = len(letters) + len(conn)
-                letters.extend(run)
-                values.extend(run_values)
-                # the element's letters cover orbit transitions
-                # base-n..base+n-1, centering the visit at time ``base``
-                vis_time = base
-                d_check = dist_window(window_point(vis_time), elem, cfg)
-                if d_check > target:
-                    raise PathNotFound("window mismatch after append")
-                visits.append(Visit(oi, vis_time, d_check))
-                found = True
+            # the element's letters cover orbit transitions base-n..base+n-1,
+            # centering the visit at time ``base``; an exact endpoint would
+            # pin every later coordinate there
+            base = size + len(conn)
+            push(conn + central)
+            if 0.0 < values[-1] < 1.0 and visit(oi, base):
                 break
-        if not found:
+            del letters[size:], values[size + 1 :]
+        else:
             raise PathNotFound(
                 f"no connector reached net element {oi} (d_left = {d_left}, "
                 f"pull-back target {v_target!r}) within eps: the exponent "
@@ -488,7 +463,7 @@ def transitive_orbit_builder(
 
     point = MPoint(Word(tuple(letters), -n), XPoint(letters[n].domain_index, values[n]))
     passed = all(v.dist <= eps for v in visits) and len(visits) == len(net)
-    return OrbitResult(point, net, visits, eps, cfg, orbit_k_cut(eps, n), passed)
+    return OrbitResult(point, net, visits, eps, cfg, k_cut, passed)
 
 
 def verify_orbit(result: OrbitResult) -> dict:

@@ -148,7 +148,8 @@ def distinguish(
 # ---------------------------------------------------------------------------
 
 
-def _leg_column(leg: Leg) -> float:
+def leg_x(leg: Leg) -> float:
+    """Horizontal position of a leg: its address embedded in its chunk."""
     try:
         k = int(leg.bundle)
     except ValueError as exc:
@@ -156,11 +157,6 @@ def _leg_column(leg: Leg) -> float:
             f"bundle {leg.bundle!r} has no planar chunk position"
         ) from exc
     return chunk_x(k, leg.address)
-
-
-def leg_x(fan: FanModel, leg_index: int) -> float:
-    """Horizontal position of a leg: its address embedded in its chunk."""
-    return _leg_column(fan.legs[leg_index])
 
 
 def _grid_hit(lo_h: float, hi_h: float, step: float, cells: int) -> bool:
@@ -274,7 +270,7 @@ class _BundleScan(NamedTuple):
 def _bundle_scan(legs: tuple[Leg, ...], grid: float) -> _BundleScan:
     """Clusters of every leg of one bundle, keyed on the legs' content, so
     fans that share a bundle's tips share its detection."""
-    cols = [_leg_column(leg) for leg in legs]
+    cols = [leg_x(leg) for leg in legs]
     order = sorted(range(len(legs)), key=cols.__getitem__)  # stable: ties by index
     tips = ([cols[j] for j in order], order, [legs[j].length for j in order])
     cells = round(1.0 / grid)
@@ -372,7 +368,7 @@ def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:
                 p = bisect.bisect_left(idx, li)
                 if p < len(idx) and idx[p] == li:
                     me = p
-            reps.append((tips, _leg_column(leg), leg.length, me))
+            reps.append((tips, leg_x(leg), leg.length, me))
         hosts[li] = _leg_clusters(reps, grid, cells)
     return OracleResult(scans, hosts)
 

@@ -26,7 +26,7 @@ class WindowConfig(_Frozen):
     __slots__ = ("half_width",)
     _key = attrgetter("half_width")
 
-    def __init__(self, half_width: int = 8):
+    def __init__(self, half_width: int):
         if half_width < 1:
             raise ValueError("window half-width must be >= 1")
         _set(self, "half_width", half_width)
@@ -58,10 +58,6 @@ class MPoint(_Frozen):
         _set(self, "word", word)
         _set(self, "t0", t0)
 
-    @classmethod
-    def all_infinity(cls) -> "MPoint":
-        return cls(None, INFINITY)
-
     @property
     def is_all_infinity(self) -> bool:
         return self.word is None
@@ -81,7 +77,7 @@ class MPoint(_Frozen):
         return self.word.stop - 1
 
 
-ALL_INFINITY = MPoint.all_infinity()
+ALL_INFINITY = MPoint(None, INFINITY)
 
 
 def coords(p: MPoint, j: int) -> XPoint:
@@ -184,7 +180,7 @@ def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float
     return max(0.0, *gaps), max(0.0, *gaps[n:])
 
 
-def dist_window(p: MPoint, q: MPoint, cfg: WindowConfig = WindowConfig()) -> float:
+def dist_window(p: MPoint, q: MPoint, cfg: WindowConfig) -> float:
     """Product metric evaluated over coordinates |j| <= N.
 
     Requires both windows to cover [-N, N]; the all-infinity point covers
@@ -231,7 +227,7 @@ def chunk_x(k: int, digits: str) -> float:
     return 1.0 - 3.0 ** (1 - k) + 3.0 ** (-k) * address_value(digits)
 
 
-def model_map(p: MPoint, depth: int | None = None) -> tuple[float, float]:
+def model_map(p: MPoint, depth: int) -> tuple[float, float]:
     """Planar model coordinates (c, tau) of a window point.
 
     The itinerary address is embedded into the k-th middle-third chunk
@@ -242,11 +238,7 @@ def model_map(p: MPoint, depth: int | None = None) -> tuple[float, float]:
     """
     if p.is_all_infinity:
         return (1.0, 0.0)
-    word = p.word
-    if depth is not None:
-        lo = max(p.lo, -depth)
-        hi = min(p.hi, depth - 1)
-        word = word.slice(lo, hi)
+    word = p.word.slice(max(p.lo, -depth), min(p.hi, depth - 1))
     return (chunk_x(p.t0.k, cantor_address(word)), height(p))
 
 

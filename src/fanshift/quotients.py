@@ -30,6 +30,7 @@ from .errors import (
 from .itinerary import ENUMERATION_CAP, Letter, Word, address_value, cantor_address
 from .itinerary import count_words_recurrence, iter_words
 from .mahavier import (
+    ALL_INFINITY,
     MPoint,
     diagonal_point,
     fiber_length,
@@ -495,7 +496,7 @@ def descend(
         k = rng.randint(1, 4)
         p = random_window_point(rng, k)
         zero = MPoint(p.word, XPoint(p.t0.k, 0.0))
-        sample_pairs.append((zero, MPoint.all_infinity()))
+        sample_pairs.append((zero, ALL_INFINITY))
         q = random_window_point(rng, rng.randint(1, 4))
         sample_pairs.append((p, p))
         sample_pairs.append((p, q))

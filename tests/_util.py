@@ -54,7 +54,7 @@ def hausdorff_dist(points_a, points_b, metric=None) -> float:
 
 def arc_sample(fan, leg_index, tau, cells=64):
     """Sample points of the arc from the top to height tau on a leg."""
-    x = leg_x(fan, leg_index)
+    x = leg_x(fan.legs[leg_index])
     return [(x, tau * i / cells) for i in range(cells + 1)]
 
 

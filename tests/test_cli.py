@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from fanshift.cli import main
+from fanshift.figures import FIGURE_IDS
 from fanshift.reports import REPORT_SCHEMA, SCHEMA_VERSION
 
 EXPECTED = json.loads(
@@ -109,6 +110,12 @@ def test_usage_error_exit_code(capsys):
         ["verify", "cantor", "--kmax", "0"],
         ["verify", "hlavna", "--kmax", "3"],
         ["render", "glue", "--out", "{svg}", "--a", "1,5"],
+        # only the gluing figure reads --a
+        *(
+            ["render", fig, "--a", "1,3", "--out", "{svg}"]
+            for fig in FIGURE_IDS
+            if fig != "glue"
+        ),
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )
@@ -142,6 +149,9 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "cantor", "--depth", "0"], None, "depth must be >= 1"),
         (["verify", "distinguish", "--kmax", "0"], None, "kmax must be >= 1"),
         (["verify", "orbit", "--eps", "nan"], None, "eps must be positive"),
+        (["verify", "orbit", "--eps", "0"], None, "eps must be positive"),
+        (["verify", "orbit", "--eps", "-1"], None, "eps must be positive"),
+        (["verify", "orbit", "--eps", "inf"], None, "eps must be positive"),
         (["verify", "impression", "--eps", "nan"], None, "eps must be positive"),
         (["verify", "orbit", "--u-cells", "0"], None, "u_cells must be >= 1"),
         (["verify", "orbit", "--u-cells", "-3"], None, "u_cells must be >= 1"),
@@ -170,6 +180,9 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "cantor-depth-0",
         "distinguish-kmax-0",
         "orbit-eps-nan",
+        "orbit-eps-0",
+        "orbit-eps-neg",
+        "orbit-eps-inf",
         "impression-eps-nan",
         "orbit-u-cells-0",
         "orbit-u-cells-neg",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,12 @@ from fanshift.impression import (
     verify_orbit,
     witness_path,
 )
-from fanshift.itinerary import Letter, is_admissible
+from fanshift.itinerary import Letter, Word, is_admissible
 from fanshift.mahavier import (
     MPoint,
     WindowConfig,
     _local_trace,
+    _window_dists,
     coord_range,
     dist_window,
 )
@@ -203,6 +205,15 @@ def test_orbit_k_cut_levels():
     assert orbit_k_cut(0.5, 1) >= 2
 
 
+def test_orbit_k_cut_rejects_a_bad_eps():
+    # -1.0 comes last: a cutoff loop that accepts it never returns
+    for eps in (0.0, math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            orbit_k_cut(eps, 2)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            build_net(eps, WindowConfig(2))
+
+
 def test_net_contains_infinity_element():
     net = build_net(0.25, WindowConfig(1), u_cells=4)
     assert net[-1].is_all_infinity
@@ -211,7 +222,7 @@ def test_net_contains_infinity_element():
 
 def test_single_element_net_orbit():
     cfg = WindowConfig(1)
-    net = build_net(0.25, cfg, k_cut=1, u_cells=2)[:1]
+    net = build_net(0.25, cfg, u_cells=2)[:1]
     res = transitive_orbit_builder(0.25, cfg, net=net)
     assert res.passed
     assert len(res.visits) == 1
@@ -221,7 +232,7 @@ def test_single_element_net_orbit():
 
 def test_orbit_small_run_covers_net():
     cfg = WindowConfig(1)
-    res = transitive_orbit_builder(0.25, cfg, u_cells=6)
+    res = transitive_orbit_builder(0.25, cfg, net=build_net(0.25, cfg, u_cells=6))
     check = verify_orbit(res)
     assert res.passed and check["passed"]
     assert check["coverage"] == 1.0
@@ -231,7 +242,8 @@ def test_orbit_small_run_covers_net():
 
 @pytest.fixture(scope="module")
 def small_orbit():
-    return transitive_orbit_builder(0.25, WindowConfig(1), u_cells=4)
+    cfg = WindowConfig(1)
+    return transitive_orbit_builder(0.25, cfg, net=build_net(0.25, cfg, u_cells=4))
 
 
 def _replaced(result, **changes):
@@ -308,7 +320,7 @@ def test_orbit_visits_match_shifted_windows():
     from fanshift.mahavier import shift
 
     cfg = WindowConfig(1)
-    net = build_net(0.25, cfg, k_cut=1, u_cells=2)
+    net = build_net(0.25, cfg, u_cells=2)
     res = transitive_orbit_builder(0.25, cfg, net=net[:6])
     q = res.point
     for v in res.visits[:4]:
@@ -319,11 +331,61 @@ def test_orbit_visits_match_shifted_windows():
         assert d <= 0.25 + 1e-12
 
 
+def _seeded_heights(eps, cfg, u_cells):
+    """The net's words with heights drawn from a seeded generator."""
+    rng = random.Random(0)
+    return [
+        p if p.is_all_infinity else MPoint(p.word, XPoint(p.t0.k, rng.random()))
+        for p in build_net(eps, cfg, u_cells=u_cells)
+    ]
+
+
+@pytest.mark.parametrize(
+    "eps, half_width, u_cells, make_net, calls",
+    [
+        (1 / 8, 2, 12, build_net, 2211),
+        (1 / 8, 2, 12, _seeded_heights, 2211),
+        (0.25, 1, 12, build_net, 170),
+        (0.07, 1, 20, build_net, 465),  # rejects two candidates
+    ],
+    ids=["default", "seeded-heights", "window-1", "window-1-rejecting"],
+)
+def test_orbit_measures_each_visit_once(
+    eps, half_width, u_cells, make_net, calls, monkeypatch
+):
+    # every distance the builder measures either becomes a visit or rejects
+    # a candidate, and a recorded distance is the one the returned point
+    # gives back at the visit's time
+    from fanshift import impression
+
+    measured = []
+
+    def counting(p, q, cfg):
+        measured.append(dist_window(p, q, cfg))
+        return measured[-1]
+
+    cfg = WindowConfig(half_width)
+    monkeypatch.setattr(impression, "dist_window", counting)
+    res = transitive_orbit_builder(eps, cfg, net=make_net(eps, cfg, u_cells=u_cells))
+    assert res.passed and verify_orbit(res)["passed"]
+    target = eps * 0.995
+    assert [d for d in measured if d <= target] == [v.dist for v in res.visits]
+    assert len(measured) == calls
+
+    p, n = res.point, half_width
+    trace = _local_trace(p, p.lo, p.hi + 1)
+    for v in res.visits:
+        sl = p.word.slice(v.time - n, v.time + n - 1)
+        x = XPoint(p.word.domain_at(v.time), trace[v.time - p.lo])
+        w = MPoint(Word(sl.letters, -n), x)
+        assert _window_dists(w, res.net[v.net_index], cfg)[0] == v.dist
+
+
 def test_orbit_unreachable_raises():
     cfg = WindowConfig(1)
-    net = build_net(0.25, cfg, k_cut=1, u_cells=2)[:3]
+    net = build_net(0.25, cfg, u_cells=2)[:3]
     with pytest.raises(PathNotFound):
-        transitive_orbit_builder(1e-9, cfg, net=net, tries=5)
+        transitive_orbit_builder(1e-9, cfg, net=net)
 
 
 def test_orbit_failure_names_the_interior_guard():

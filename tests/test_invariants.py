@@ -176,13 +176,13 @@ def test_hausdorff_examples():
 
 def test_leg_positions_inside_chunks():
     fan = build_fan(AParam((1,)), 4, 3)
-    for i, leg in enumerate(fan.legs):
+    for leg in fan.legs:
         k = int(leg.bundle)
         lo = 1.0 - 3.0 ** (1 - k)
-        assert lo <= leg_x(fan, i) <= lo + 3.0**-k
+        assert lo <= leg_x(leg) <= lo + 3.0**-k
     st = star_of(fan, 2)
     with pytest.raises(ValueError):
-        leg_x(st, 0)
+        leg_x(st.legs[0])
 
 
 def test_oracle_plain_fan_detects_only_tips():
@@ -252,7 +252,7 @@ def _reference_oracle_clusters(fan, grid=2.0**-10):
     tips: dict[str, list[tuple[float, int, float]]] = {}
     for i in maximal:
         leg = fan.legs[i]
-        tips.setdefault(leg.bundle, []).append((leg_x(fan, i), i, leg.length))
+        tips.setdefault(leg.bundle, []).append((leg_x(leg), i, leg.length))
     for entries in tips.values():
         entries.sort()
 
@@ -275,10 +275,10 @@ def _reference_oracle_clusters(fan, grid=2.0**-10):
         leg = fan.legs[li]
         # representatives of this leg's points: its own column plus each
         # glued guest's column, valid up to the guest's length
-        reps = [(leg_x(fan, li), leg.length, leg.bundle)]
+        reps = [(leg_x(leg), leg.length, leg.bundle)]
         for gi in fan.guests_of(li):
             g = fan.legs[gi]
-            reps.append((leg_x(fan, gi), g.length, g.bundle))
+            reps.append((leg_x(g), g.length, g.bundle))
         # exclude the top: nothing below half the finest grid step counts
         floor = 0.5 * grid * min(cap for _, cap, _ in reps)
 

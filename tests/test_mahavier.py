@@ -334,7 +334,7 @@ def test_distinct_words_give_disjoint_arcs():
 
 
 def test_model_map_examples():
-    assert model_map(ALL_INFINITY) == (1.0, 0.0)
+    assert model_map(ALL_INFINITY, 4) == (1.0, 0.0)
     r = rng(12)
     for k in (1, 2, 3):
         word = random_word(r, k, left=4, right=4)

@@ -549,7 +549,7 @@ def test_smoothness_proxy_arcs_converge():
     # approach the target leg through its bundle neighbors
     approach = sorted(
         legs[1:],
-        key=lambda i: abs(leg_x(fan, i) - leg_x(fan, target)),
+        key=lambda i: abs(leg_x(fan.legs[i]) - leg_x(fan.legs[target])),
         reverse=True,
     )
     for i in approach:
