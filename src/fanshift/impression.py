@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import PathNotFound, ResourceCapExceeded
 from .itinerary import Letter, Word, iter_words, letters_with_domain
@@ -26,7 +26,7 @@ from .mahavier import (
     _window_dists,
     dist_window,
 )
-from .xspace import INFINITY, XPoint, _Frozen, _set, embed
+from .xspace import INFINITY, XPoint, embed
 
 BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
@@ -38,11 +38,12 @@ TRIES = 600
 _BENDS = {Letter(2, 2): (1, 0), Letter(1, 2): (0, 1)}
 
 
-def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoint]:
+def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
     """All points reachable from s along at most ``depth`` relation steps.
 
     Interior seeds are tracked by exact exponent keys (interval, doublings,
-    third-roots), so no float comparison is needed for deduplication.
+    third-roots), so no float comparison is needed for deduplication.  More
+    than ``BFS_CAP`` keys raise.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -70,10 +71,10 @@ def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoin
                 st = (lt.range_index, m + dm, n + dn)
                 if st not in seen:
                     seen.add(st)
-                    if len(seen) > cap:
+                    if len(seen) > BFS_CAP:
                         raise ResourceCapExceeded(
                             f"reachability from XPoint(k={s.k}, u={s.u!r}) "
-                            f"exceeded cap {cap}"
+                            f"exceeded cap {BFS_CAP}"
                         )
                     nxt.append(st)
         frontier = nxt
@@ -82,7 +83,7 @@ def forward_reachable(s: XPoint, depth: int, *, cap: int = BFS_CAP) -> set[XPoin
     return {XPoint(k, value(m, n)) for k, m, n in seen}
 
 
-class SymbolicPoint(_Frozen):
+class SymbolicPoint(NamedTuple):
     """The point of interval k at local coordinate t_base^(2^m / 3^n).
 
     The triple (m, n, k) identifies the point exactly; ``path`` is an
@@ -90,17 +91,11 @@ class SymbolicPoint(_Frozen):
     (interval 1, coordinate t_base).
     """
 
-    __slots__ = ("t_base", "m", "n", "k", "path")
-    _key = attrgetter("t_base", "m", "n", "k", "path")
-
-    def __init__(
-        self, t_base: Fraction, m: int, n: int, k: int, path: tuple[Letter, ...] = ()
-    ):
-        _set(self, "t_base", t_base)
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "path", path)
+    t_base: Fraction
+    m: int
+    n: int
+    k: int
+    path: tuple[Letter, ...]
 
     @property
     def value(self) -> float:
@@ -156,24 +151,27 @@ def symbolic_family(
     return out
 
 
-def default_k_cut(eps: float) -> int:
-    """Interval cutoff so one net point at infinity covers the deep tail."""
+def _check_eps(eps: float) -> None:
+    """Reject an eps outside (0, inf), NaN included."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
+def default_k_cut(eps: float) -> int:
+    """Interval cutoff so one net point at infinity covers the deep tail."""
+    _check_eps(eps)
     return max(8, math.ceil(-math.log(eps, 4.0)) + 1)
 
 
-class DensityReport:
-    """Net points the sample misses; its attributes are its report form."""
+class DensityReport(NamedTuple):
+    """Net points the sample misses; its fields are its report form,
+    serialized with ``_asdict()``."""
 
-    def __init__(
-        self, passed: bool, eps: float, k_cut: int, net_size: int, uncovered: list
-    ):
-        self.passed = passed
-        self.eps = eps
-        self.k_cut = k_cut
-        self.net_size = net_size
-        self.uncovered = uncovered
+    passed: bool
+    eps: float
+    k_cut: int
+    net_size: int
+    uncovered: list
 
 
 def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
@@ -183,8 +181,7 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
     to k_cut, plus the point at infinity; intervals beyond k_cut lie within
     4^-k_cut of infinity, so k_cut only needs to match eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
     embeds = sorted(embed(p) for p in points)
@@ -224,36 +221,26 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
 # ---------------------------------------------------------------------------
 
 
-class Visit:
+class Visit(NamedTuple):
     """A claimed visit: the orbit window at ``time`` lies ``dist`` from net
     element ``net_index``."""
 
-    __slots__ = ("net_index", "time", "dist")
-
-    def __init__(self, net_index: int, time: int, dist: float):
-        self.net_index = net_index
-        self.time = time
-        self.dist = dist
+    net_index: int
+    time: int
+    dist: float
 
 
-class OrbitResult:
-    def __init__(
-        self,
-        point: MPoint,
-        net: list[MPoint],
-        visits: list[Visit],
-        eps: float,
-        cfg: WindowConfig,
-        k_cut: int,
-        passed: bool,
-    ):
-        self.point = point
-        self.net = net
-        self.visits = visits
-        self.eps = eps
-        self.cfg = cfg
-        self.k_cut = k_cut
-        self.passed = passed
+class OrbitResult(NamedTuple):
+    """A built orbit point with its net and claimed visits; ``to_dict`` is
+    its report summary."""
+
+    point: MPoint
+    net: list[MPoint]
+    visits: list[Visit]
+    eps: float
+    cfg: WindowConfig
+    k_cut: int
+    passed: bool
 
     def to_dict(self) -> dict:
         return {
@@ -270,8 +257,7 @@ class OrbitResult:
 
 def orbit_k_cut(eps: float, half_width: int) -> int:
     """Smallest interval cutoff covered by the all-infinity net point."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
     k = 2
     while 2.0 ** (2 - 2 * (k + 1) + half_width) > eps:
         k += 1

@@ -75,31 +75,18 @@ def profile(fan: FanModel) -> JumaProfile:
     return JumaProfile((1,) * ones + tuple(sorted(juma_count(fan, h) for h in hosts)))
 
 
-class DistinguishCertificate:
-    """Witness that two gluing parameters give non-homeomorphic fans."""
+class DistinguishCertificate(NamedTuple):
+    """Witness that two gluing parameters give non-homeomorphic fans; its
+    fields are its report form, serialized with ``_asdict()``."""
 
-    def __init__(
-        self,
-        k: int,
-        first_value: int,
-        second_value: int,
-        first_counts: dict,
-        second_counts: dict,
-    ):
-        self.k = k
-        self.first_value = first_value
-        self.second_value = second_value
-        self.first_counts = first_counts
-        self.second_counts = second_counts
+    k: int
+    first_value: int
+    second_value: int
+    first_counts: dict
+    second_counts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "first_value": self.first_value,
-            "second_value": self.second_value,
-            "first_counts": dict(self.first_counts),
-            "second_counts": dict(self.second_counts),
-        }
+        return self._asdict()
 
 
 @lru_cache(maxsize=512)

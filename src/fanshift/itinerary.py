@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ResourceCapExceeded
 from .xspace import _Frozen, _set, cbrt
@@ -145,14 +145,13 @@ class Word(_Frozen):
         return Word._trusted(self.letters[lo - self.start : hi - self.start + 1], lo)
 
 
-def iter_words(
-    k: int, n: int, *, start: int = 0, cap: int = ENUMERATION_CAP
-) -> Iterator[Word]:
+def iter_words(k: int, n: int, *, start: int = 0) -> Iterator[Word]:
     """Yield every admissible n-letter word whose position-0 domain is k.
 
     Words span transitions start..start+n-1 and position 0 must lie in
     that span.  Enumeration order is canonical: letters are chosen in
-    (ell, j) order rightward from position 0, then leftward.
+    (ell, j) order rightward from position 0, then leftward.  More than
+    ``ENUMERATION_CAP`` words raise.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -178,9 +177,10 @@ def iter_words(
     for root in letters_with_domain(k):
         for chain in grow_right((root,)):
             produced += 1
-            if produced > cap:
+            if produced > ENUMERATION_CAP:
                 raise ResourceCapExceeded(
-                    f"enumeration of words (k={k}, n={n}) exceeded cap {cap}"
+                    f"enumeration of words (k={k}, n={n}) exceeded cap "
+                    f"{ENUMERATION_CAP}"
                 )
             yield Word(chain, start)
 
@@ -207,29 +207,18 @@ def count_words_recurrence(k: int, n: int) -> list[int]:
     return counts
 
 
-class CantorCertificate:
+class CantorCertificate(NamedTuple):
     """Branching audit over all words of length <= n through interval k;
-    its attributes are its report form."""
+    its fields are its report form, serialized with ``_asdict()``."""
 
-    def __init__(
-        self,
-        passed: bool,
-        k: int,
-        max_length: int,
-        min_right_branching: int,
-        min_left_branching: int,
-        words_checked: int,
-        counts_by_length: list[int],
-        recurrence_counts: list[int],
-    ):
-        self.passed = passed
-        self.k = k
-        self.max_length = max_length
-        self.min_right_branching = min_right_branching
-        self.min_left_branching = min_left_branching
-        self.words_checked = words_checked
-        self.counts_by_length = counts_by_length
-        self.recurrence_counts = recurrence_counts
+    passed: bool
+    k: int
+    max_length: int
+    min_right_branching: int
+    min_left_branching: int
+    words_checked: int
+    counts_by_length: list[int]
+    recurrence_counts: list[int]
 
 
 def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     HypothesisViolated,
@@ -201,30 +201,19 @@ def lift_f_R(f: PMap) -> PMap:
     return f_R
 
 
-class HlavnaReport:
+class HlavnaReport(NamedTuple):
     """Sampled evidence that a lifted map keeps homeomorphism properties;
-    its attributes are its report form."""
+    its fields are its report form, serialized with ``_asdict()``."""
 
-    def __init__(
-        self,
-        map_name: str,
-        hypothesis_ok: bool,
-        surjectivity_gap: float,
-        surjectivity_ok: bool,
-        injectivity_ok: bool,
-        vertex_tail: float,
-        vertex_ok: bool,
-        witness: dict | None = None,
-    ):
-        self.map = map_name
-        self.hypothesis_ok = hypothesis_ok
-        self.surjectivity_gap = surjectivity_gap
-        self.surjectivity_ok = surjectivity_ok
-        self.injectivity_ok = injectivity_ok
-        self.vertex_tail = vertex_tail
-        self.vertex_ok = vertex_ok
-        self.passed = hypothesis_ok and surjectivity_ok and injectivity_ok and vertex_ok
-        self.witness = witness
+    map: str
+    hypothesis_ok: bool
+    surjectivity_gap: float
+    surjectivity_ok: bool
+    injectivity_ok: bool
+    vertex_tail: float
+    vertex_ok: bool
+    passed: bool
+    witness: dict | None
 
 
 def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
@@ -244,8 +233,8 @@ def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
     except HypothesisViolated as exc:
         w = exc.witness
         return HlavnaReport(
-            name, False, math.inf, False, False, math.inf, False,
-            witness={"address": w.address, "t": w.t},
+            name, False, math.inf, False, False, math.inf, False, False,
+            {"address": w.address, "t": w.t},
         )
 
     wedge_targets = [phi(p) for p in _sample_points(6, 16)]
@@ -279,7 +268,10 @@ def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
     if tail > 1e-3:
         vertex_ok = False
 
-    return HlavnaReport(name, True, gap, surj_ok, inj_ok, tail, vertex_ok, witness)
+    passed = surj_ok and inj_ok and vertex_ok
+    return HlavnaReport(
+        name, True, gap, surj_ok, inj_ok, tail, vertex_ok, passed, witness
+    )
 
 
 def phi_pair(point: tuple[float, float]) -> tuple[float, float]:
@@ -547,11 +539,9 @@ class FanModel(_Frozen):
     """
 
     # no __slots__: the cached gluing indices live in the instance dict
-    _key = attrgetter("legs", "gluings", "top")
+    _key = attrgetter("legs", "gluings")
 
-    def __init__(
-        self, legs: tuple[Leg, ...], gluings: tuple[Gluing, ...] = (), top: str = "o"
-    ):
+    def __init__(self, legs: tuple[Leg, ...], gluings: tuple[Gluing, ...] = ()):
         guests = set()
         hosts = set()
         for g in gluings:
@@ -569,7 +559,6 @@ class FanModel(_Frozen):
             raise ValueError("a guest leg cannot also host")
         _set(self, "legs", legs)
         _set(self, "gluings", gluings)
-        _set(self, "top", top)
 
     @cached_property
     def guest_indices(self) -> frozenset[int]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 from .itinerary import letters_with_domain, letters_with_range
 from .xspace import INFINITY, ROUNDTRIP_EPS, XPoint, cbrt
@@ -124,21 +125,14 @@ def h_preimage(y: XPoint) -> tuple[XPoint, ...]:
     )
 
 
-class DecompositionReport:
-    """Outcome of the graph-cover check; its attributes are its report form."""
+class DecompositionReport(NamedTuple):
+    """Outcome of the graph-cover check; its fields are its report form,
+    serialized with ``_asdict()``."""
 
-    def __init__(
-        self,
-        passed: bool,
-        samples_checked: int,
-        kmax: int,
-        first_counterexample: dict | None = None,
-    ):
-        self.passed = passed
-        self.samples_checked = samples_checked
-        self.kmax = kmax
-        self.first_counterexample = first_counterexample
-        self.notes: list = []
+    passed: bool
+    samples_checked: int
+    kmax: int
+    first_counterexample: dict | None
 
 
 def decomposition_check(
@@ -182,4 +176,4 @@ def decomposition_check(
                 return DecompositionReport(False, checked, kmax, witness)
         checked += 1
 
-    return DecompositionReport(True, checked, kmax)
+    return DecompositionReport(True, checked, kmax, None)

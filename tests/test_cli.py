@@ -5,8 +5,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from fanshift import itinerary, quotients
 from fanshift.cli import main
 from fanshift.figures import FIGURE_IDS
+from fanshift.itinerary import CantorCertificate
+from fanshift.quotients import HlavnaReport
 from fanshift.reports import REPORT_SCHEMA, SCHEMA_VERSION
 
 EXPECTED = json.loads(
@@ -153,6 +156,16 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "orbit", "--eps", "-1"], None, "eps must be positive"),
         (["verify", "orbit", "--eps", "inf"], None, "eps must be positive"),
         (["verify", "impression", "--eps", "nan"], None, "eps must be positive"),
+        (
+            ["verify", "impression", "--eps", "inf", "--k-cut", "8"],
+            None,
+            "eps must be positive and finite, got inf",
+        ),
+        (
+            ["verify", "impression", "--eps", "nan", "--k-cut", "8"],
+            None,
+            "eps must be positive and finite, got nan",
+        ),
         (["verify", "orbit", "--u-cells", "0"], None, "u_cells must be >= 1"),
         (["verify", "orbit", "--u-cells", "-3"], None, "u_cells must be >= 1"),
         (["verify", "diam", "--kmax", "0"], None, "kmax must be >= 1"),
@@ -184,6 +197,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "orbit-eps-neg",
         "orbit-eps-inf",
         "impression-eps-nan",
+        "impression-eps-inf-k-cut",
+        "impression-eps-nan-k-cut",
         "orbit-u-cells-0",
         "orbit-u-cells-neg",
         "diam-kmax-0",
@@ -214,6 +229,42 @@ def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monk
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert needle.format(**paths) in err and "Traceback" not in err
+
+
+def test_failure_reports_serialize_records_as_objects(tmp_path, monkeypatch):
+    # the default reports serialize no failing record, and JSON writes a
+    # NamedTuple passed without ``_asdict()`` as an array
+    certificate = itinerary.cantor_certificate
+    monkeypatch.setattr(
+        itinerary,
+        "cantor_certificate",
+        lambda k, n: certificate(k, n)._replace(passed=False),
+    )
+    # digit-swap now breaks the invariance hypothesis, and the violator passes
+    monkeypatch.setattr(quotients, "swap_digit_map", quotients.vertex_crush_map)
+    monkeypatch.setattr(quotients, "vertex_crush_map", quotients.identity_map)
+
+    def report(*argv):
+        out = tmp_path / "r.json"
+        assert main(["verify", *argv, "--report", str(out)]) == 1
+        return json.loads(out.read_text(encoding="utf-8"))
+
+    cantor = report("cantor", "--kmax", "2", "--depth", "4")
+    assert [w["k"] for w in cantor["witnesses"]] == [1, 2]
+    for w in cantor["witnesses"]:
+        assert isinstance(w, dict) and set(w) == set(CantorCertificate._fields)
+
+    hlavna = report("hlavna")
+    swap, violator = hlavna["witnesses"]
+    assert violator["check"] == "violator"
+    extra = hlavna["extra"]
+    records = [swap, violator["report"], *extra["maps"], extra["violator"]]
+    assert [r["map"] for r in records] == [
+        "digit-swap", "vertex-crush", "identity", "digit-swap", "vertex-crush"
+    ]
+    assert not swap["passed"] and swap["witness"] is not None
+    for r in records:
+        assert isinstance(r, dict) and set(r) == set(HlavnaReport._fields)
 
 
 def _check_digest(key, tmp_path):

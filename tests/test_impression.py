@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fanshift import impression
 from fanshift.errors import PathNotFound
 from fanshift.impression import (
     INTERIOR_GUARD,
-    OrbitResult,
     Visit,
     _exponents,
     _steer_candidates,
@@ -125,13 +125,14 @@ def test_reachable_matches_explicit_step_tables(seed):
         assert forward_reachable(seed, depth) == _reachable_reference(seed, depth)
 
 
-def test_reachable_from_endpoint_seed():
+def test_reachable_from_endpoint_seed(monkeypatch):
     # endpoint coordinates are fixed by every bending step
     got = forward_reachable(XPoint(1, 0.0), 4)
     assert all(p.u == 0.0 for p in got)
     # their exponent keys stay pinned at (k, 0, 0): depth 10 visits only
     # intervals 1..11, so 11 keys fit under the cap
-    assert len(forward_reachable(XPoint(1, 1.0), 10, cap=11)) == 11
+    monkeypatch.setattr(impression, "BFS_CAP", 11)
+    assert len(forward_reachable(XPoint(1, 1.0), 10)) == 11
 
 
 def test_symbolic_family_seed_and_values():
@@ -246,11 +247,6 @@ def small_orbit():
     return transitive_orbit_builder(0.25, cfg, net=build_net(0.25, cfg, u_cells=4))
 
 
-def _replaced(result, **changes):
-    """A new orbit result with some of the builder's fields replaced."""
-    return OrbitResult(**{**vars(result), **changes})
-
-
 def test_orbit_consecutive_pairs_admissible(small_orbit):
     p = small_orbit.point
     trace = coord_range(p, p.lo, p.hi + 1)
@@ -269,7 +265,7 @@ def test_verify_orbit_rejects_a_moved_base(small_orbit):
     p = small_orbit.point
     assert p.t0.u != 0.5
     moved = MPoint(p.word, XPoint(p.t0.k, 0.5))
-    check = verify_orbit(_replaced(small_orbit, point=moved))
+    check = verify_orbit(small_orbit._replace(point=moved))
     assert check["passed"] is False
     assert check["coverage"] < 1.0
 
@@ -278,7 +274,7 @@ def test_verify_orbit_rejects_a_moved_visit_time(small_orbit):
     visits = list(small_orbit.visits)
     v = visits[5]
     visits[5] = Visit(v.net_index, v.time + 1, v.dist)
-    check = verify_orbit(_replaced(small_orbit, visits=visits))
+    check = verify_orbit(small_orbit._replace(visits=visits))
     assert check["passed"] is False
     assert check["coverage"] < 1.0
 
@@ -290,7 +286,7 @@ def test_verify_orbit_counts_a_visit_past_the_word_end_as_uncovered(small_orbit)
     v = visits[-1]
     assert v.time + n == p.hi + 1
     visits[-1] = Visit(v.net_index, v.time + 1, v.dist)
-    check = verify_orbit(_replaced(small_orbit, visits=visits))
+    check = verify_orbit(small_orbit._replace(visits=visits))
     assert check["passed"] is False
     assert check["covered"] == check["net_size"] - 1
 
@@ -381,10 +377,12 @@ def test_orbit_measures_each_visit_once(
         assert _window_dists(w, res.net[v.net_index], cfg)[0] == v.dist
 
 
-def test_orbit_unreachable_raises():
+def test_orbit_unmatched_seed_element_raises():
+    # the first element sits at height 0, the seed is clamped to 2^-20, so
+    # at eps 1e-9 the seed visit misses before any connector is tried
     cfg = WindowConfig(1)
     net = build_net(0.25, cfg, u_cells=2)[:3]
-    with pytest.raises(PathNotFound):
+    with pytest.raises(PathNotFound, match="seed element not matched"):
         transitive_orbit_builder(1e-9, cfg, net=net)
 
 

@@ -143,7 +143,7 @@ def test_invariance_violation_detected():
 def test_check_hlavna_identity_and_product_pass():
     for f, name in ((identity_map, "identity"), (swap_digit_map, "swap")):
         rep = check_hlavna(f, name=name)
-        assert rep.passed, vars(rep)
+        assert rep.passed, rep
         assert rep.surjectivity_gap <= 1e-9
         assert rep.vertex_tail <= 1e-3
 
