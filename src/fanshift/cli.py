@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         params = _RENDER_PARAMS[args.figure]
     else:
         run, params = COMMANDS[args.name]
-    # invalid parameter values and unreadable config files are usage errors
+    # invalid values, unreadable config files and refused renders are usage errors
     try:
         values = _resolve(params, vars(args), _load_config(args.config))
         if args.command == "render":
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
                 witnesses = [{"error": type(exc).__name__, "message": str(exc)}]
                 extra = {}
             elapsed = time.perf_counter() - started
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FanshiftError) as exc:
         parser.error(str(exc))  # exits 2
 
     if args.command == "render":

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from itertools import product as iter_product
 
-from .itinerary import address_value, cantor_address, iter_words
+from .errors import ResourceCapExceeded
+from .itinerary import ENUMERATION_CAP, address_value, cantor_address
+from .itinerary import count_words_recurrence, iter_words
 from .mahavier import chunk_x, fiber_length
 from .quotients import AParam, build_fan, host_bundle
 from .xspace import XPoint, embed
@@ -64,7 +66,15 @@ class Svg:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
+def _capped(items: int, what: str) -> int:
+    """A figure's item count, checked against the cap before any is made."""
+    if items > ENUMERATION_CAP:
+        raise ResourceCapExceeded(f"{items} {what} exceed cap {ENUMERATION_CAP}")
+    return items
+
+
 def _cantor_addresses(depth: int) -> list[float]:
+    _capped(2**depth, "Cantor addresses")
     return sorted(address_value("".join(d)) for d in iter_product("02", repeat=depth))
 
 
@@ -144,40 +154,26 @@ def fig_relation(samples: int) -> str:
     svg.line(*pt(0, 0), *pt(1, 0), stroke="#bbbbbb", width=0.6)
     svg.line(*pt(0, 0), *pt(0, 1), stroke="#bbbbbb", width=0.6)
 
-    curve = []
-    for i in range(samples + 1):
-        u = i / samples
-        x = XPoint(1, u)
-        curve.append(pt(embed(x), embed(XPoint(1, u ** (1.0 / 3.0)))))
-    svg.polyline(curve, stroke="#8c2d19", width=1.6)
+    # the cube root on interval 1 and the square on interval 2
+    grid = [i / samples for i in range(samples + 1)]
+    cube_root, square = (lambda u: u ** (1.0 / 3.0)), (lambda u: u * u)
+    for k, bend, stroke in ((1, cube_root, "#8c2d19"), (2, square, "#b4741e")):
+        curve = [pt(embed(XPoint(k, u)), embed(XPoint(k, bend(u)))) for u in grid]
+        svg.polyline(curve, stroke=stroke, width=1.6)
 
-    curve = []
-    for i in range(samples + 1):
-        u = i / samples
-        curve.append(pt(embed(XPoint(2, u)), embed(XPoint(2, u * u))))
-    svg.polyline(curve, stroke="#b4741e", width=1.6)
-
-    for k in range(1, 7):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + 1, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + 1, 1.0))),
-            stroke="#245c36",
-            width=1.4,
-        )
-    for k in range(2, 8):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k - 1, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k - 1, 1.0))),
-            stroke="#2b5f8a",
-            width=1.4,
-        )
-    for k in range(3, 8):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k, 1.0))),
-            stroke="#5a3a78",
-            width=1.4,
-        )
+    # translations up, down and the identity, as segments between intervals
+    for ks, dk, stroke in (
+        (range(1, 7), 1, "#245c36"),
+        (range(2, 8), -1, "#2b5f8a"),
+        (range(3, 8), 0, "#5a3a78"),
+    ):
+        for k in ks:
+            svg.line(
+                *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + dk, 0.0))),
+                *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + dk, 1.0))),
+                stroke=stroke,
+                width=1.4,
+            )
     svg.circle(*pt(1.0, 1.0), 4.0)
     return svg.render()
 
@@ -189,6 +185,8 @@ def fig_model_space(depth: int) -> str:
     def pt(c, tau):
         return 40.0 + 920.0 * c, 640.0 - 1100.0 * tau
 
+    most = max(count_words_recurrence(k, depth)[-1] for k in range(1, 8))
+    _capped(most, "words in one bundle")
     for k in range(1, 8):
         h = fiber_length(k)
         for w in iter_words(k, depth):
@@ -249,7 +247,7 @@ def render_figure(
     if figure_id == "fig4":
         return fig_product_and_wedge(depth or 5)
     if figure_id == "fig5":
-        return fig_relation(2 ** (depth or 7))
+        return fig_relation(_capped(2 ** (depth or 7), "samples"))
     if figure_id == "fig6":
         return fig_model_space(depth or 4)
     if figure_id == "glue":

@@ -22,7 +22,9 @@ from .mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
-    _local_trace,
+    _coords_at,
+    _pull,
+    _push,
     _window_dists,
     dist_window,
 )
@@ -52,12 +54,6 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
 
     u0 = s.u
     interior = 0.0 < u0 < 1.0
-
-    def value(m: int, n: int) -> float:
-        if not interior:
-            return u0
-        return u0 ** (2.0**m / 3.0**n)
-
     # key: (interval, m, n); endpoint seeds keep a constant coordinate, so
     # their exponent components stay pinned at zero.
     start = (s.k, 0, 0)
@@ -80,7 +76,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
         frontier = nxt
         if not frontier:
             break
-    return {XPoint(k, value(m, n)) for k, m, n in seen}
+    return {XPoint(k, u0 ** (2.0**m / 3.0**n) if interior else u0) for k, m, n in seen}
 
 
 class SymbolicPoint(NamedTuple):
@@ -106,10 +102,10 @@ class SymbolicPoint(NamedTuple):
 
 
 def _navigate(a: int, b: int) -> list[Letter]:
-    """Up/down letters moving the interval index from a to b."""
+    """Up/down letters from the letter table, moving the interval from a to b."""
     if b > a:
-        return [Letter(i, 3) for i in range(a, b)]
-    return [Letter(i, 1) for i in range(a, b, -1)]
+        return [letters_with_domain(i)[-1] for i in range(a, b)]
+    return [letters_with_domain(i)[0] for i in range(a, b, -1)]
 
 
 def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
@@ -118,10 +114,11 @@ def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
     Third-roots first, then one climb to interval 2 followed by m squarings
     when m > 0, then translation to the target interval.
     """
-    path = [Letter(1, 2)] * n
+    root, up = letters_with_domain(1)
+    path = [root] * n
     if m > 0:
-        path.append(Letter(1, 3))
-        path.extend([Letter(2, 2)] * m)
+        path.append(up)
+        path.extend([letters_with_domain(2)[1]] * m)
         path.extend(_navigate(2, k))
     else:
         path.extend(_navigate(1, k))
@@ -280,13 +277,6 @@ def build_net(eps: float, cfg: WindowConfig, *, u_cells: int = 12) -> list[MPoin
     return net
 
 
-def _pull_back(u: float, word: Word, upto: int) -> float:
-    """Pull a position-0 coordinate back to the word's position ``upto``."""
-    for pos in range(-1, upto - 1, -1):
-        u = word.letter(pos).piece(u, inverse=True)
-    return u
-
-
 @lru_cache(maxsize=None)
 def _exponents() -> tuple[tuple[float, int, int], ...]:
     """The exponent lattice (2^m / 3^n, m, n), m, n <= 60, sorted; built on
@@ -363,27 +353,17 @@ def transitive_orbit_builder(
     target = eps * 0.995
 
     # Position bookkeeping: letters occupy transitions -n, -n+1, ...; the
-    # value trace holds the coordinate at every position from -n onward, so
-    # the coordinate at orbit time t is values[t + n], in interval
-    # letters[t + n].domain_index.
+    # letter at orbit transition t is letters[t + n], and only the local
+    # coordinate after the last letter is carried, in ``u_end``.
     letters: list[Letter] = []
-    values: list[float] = []
-
-    def push(run) -> None:
-        letters.extend(run)
-        u = values[-1]
-        for lt in run:
-            u = lt.piece(u)
-            values.append(u)
-
     visits: list[Visit] = []
 
-    def visit(oi: int, time: int) -> bool:
-        """Record a visit to net element ``oi`` at orbit ``time`` if the
-        orbit's window there lies within the target distance of it."""
+    def visit(oi: int, time: int, u: float) -> bool:
+        """Record a visit to net element ``oi`` at orbit ``time``, where the
+        coordinate is ``u``, if the window there lies within the target."""
         # a run of the orbit word, which is checked whole once it is built
         sl = Word._trusted(tuple(letters[time : time + 2 * n]), -n)
-        p = MPoint(sl, XPoint(letters[time + n].domain_index, values[time + n]))
+        p = MPoint(sl, XPoint(letters[time + n].domain_index, u))
         d = dist_window(p, net[oi], cfg)
         if d > target:
             return False
@@ -398,14 +378,16 @@ def transitive_orbit_builder(
 
     seed_elem = net[order[0]]
     u_seed = min(1.0 - 2.0**-20, max(2.0**-20, seed_elem.t0.u))
-    values.append(_pull_back(u_seed, seed_elem.word, -n))
-    push(seed_elem.word.slice(-n, n - 1).letters)
-    if not visit(order[0], 0):
+    central = seed_elem.word.slice(-n, n - 1).letters
+    u_base = _push(_pull(u_seed, central[:n]), central[:n])
+    u_end = _push(u_base, central[n:])
+    letters.extend(central)
+    if not visit(order[0], 0, u_base):
         raise PathNotFound("seed element not matched; refine the height grid")
 
     for oi in order[1:]:
         elem = net[oi]
-        k_cur, u_cur = letters[-1].range_index, values[-1]
+        k_cur = letters[-1].range_index
 
         if elem.is_all_infinity:
             # A window sitting wholly inside a deep interval is close to the
@@ -415,30 +397,35 @@ def transitive_orbit_builder(
                 k_vis += 1
             climb = _navigate(k_cur, k_vis)
             block = len(letters) + len(climb)
-            push(climb + [Letter(k_vis, 2)] * (2 * n))
+            letters.extend(climb + [letters_with_domain(k_vis)[1]] * (2 * n))
             # the identity block covers orbit transitions block-n..block+n-1,
-            # so the visited window is centered at orbit time ``block``
-            if not visit(oi, block):
+            # so the visited window is centered at orbit time ``block``; the
+            # climb and the block only translate, so u_end is the coordinate
+            if not visit(oi, block, u_end):
                 raise PathNotFound("infinity element not matched; raise k_vis")
             continue
 
         word = elem.word
         central = list(word.slice(-n, n - 1).letters)
         d_left = word.domain_at(-n)
-        v_target = _pull_back(elem.t0.u, word, -n)
+        v_target = _pull(elem.t0.u, central[:n])
         size = len(letters)
         tried = 0
-        candidates = _steer_candidates(u_cur, v_target, TRIES)
+        candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
             # the element's letters cover orbit transitions base-n..base+n-1,
             # centering the visit at time ``base``; an exact endpoint would
-            # pin every later coordinate there
-            base = size + len(conn)
-            push(conn + central)
-            if 0.0 < values[-1] < 1.0 and visit(oi, base):
-                break
-            del letters[size:], values[size + 1 :]
+            # pin every later coordinate there, so only an interior candidate
+            # is appended, and taken back if it misses
+            u_mid = _push(_push(u_end, conn), central[:n])
+            u_next = _push(u_mid, central[n:])
+            if 0.0 < u_next < 1.0:
+                letters.extend(conn + central)
+                if visit(oi, size + len(conn), u_mid):
+                    u_end = u_next
+                    break
+                del letters[size:]
         else:
             raise PathNotFound(
                 f"no connector reached net element {oi} (d_left = {d_left}, "
@@ -447,7 +434,7 @@ def transitive_orbit_builder(
                 f"after {tried} tries"
             )
 
-    point = MPoint(Word(tuple(letters), -n), XPoint(letters[n].domain_index, values[n]))
+    point = MPoint(Word(tuple(letters), -n), XPoint(letters[n].domain_index, u_base))
     passed = all(v.dist <= eps for v in visits) and len(visits) == len(net)
     return OrbitResult(point, net, visits, eps, cfg, k_cut, passed)
 
@@ -456,29 +443,24 @@ def verify_orbit(result: OrbitResult) -> dict:
     """Re-check every recorded visit against the returned point alone.
 
     Walks the local coordinates of the orbit point once, outward from its
-    base, and re-evaluates the two-sided and the forward window metric at
-    each visit time in one pass, trusting nothing the builder stored.  A
-    visit whose window reaches past either end of the orbit word counts as
-    uncovered.
+    base, stopping only at the visit times, and re-evaluates the two-sided
+    and the forward window metric at each visit in one pass, trusting
+    nothing the builder stored.  A visit whose window reaches past either
+    end of the orbit word counts as uncovered.
     """
     eps, cfg = result.eps, result.cfg
     n = cfg.half_width
     p = result.point
-    lo, hi = p.lo, p.hi
-    trace = _local_trace(p, lo, hi + 1)
-
-    def window(time: int) -> MPoint:
-        sl = p.word.slice(time - n, time + n - 1)
-        x = XPoint(p.word.domain_at(time), trace[time - lo])
-        return MPoint(Word._trusted(sl.letters, -n), x)
-
-    worst = 0.0
-    worst_fwd = 0.0
+    # a visit whose window leaves the orbit word is uncovered
+    inside = [v for v in result.visits if p.lo + n <= v.time <= p.hi + 1 - n]
+    coord = _coords_at(p, {v.time for v in inside})
+    worst = worst_fwd = 0.0
     seen = set()
-    for v in result.visits:
-        if not lo + n <= v.time <= hi + 1 - n:
-            continue  # the window leaves the orbit word: the visit is uncovered
-        d, f = _window_dists(window(v.time), result.net[v.net_index], cfg)
+    for v in inside:
+        sl = p.word.slice(v.time - n, v.time + n - 1)
+        x = XPoint(p.word.domain_at(v.time), coord[v.time])
+        window = MPoint(Word._trusted(sl.letters, -n), x)
+        d, f = _window_dists(window, result.net[v.net_index], cfg)
         worst = max(worst, d)
         worst_fwd = max(worst_fwd, f)
         if d <= eps:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -29,11 +30,16 @@ from .xspace import _Frozen, _set, cbrt
 ENUMERATION_CAP = 10**6
 # words per expanded slice in cantor_certificate's level walk
 _LEVEL_SLICE = 1024
+# (forward, inverse) piece of each bending stay-letter, by domain interval:
+# the cube root on interval 1, the square on interval 2
+_BEND_PIECES = {1: (cbrt, lambda u: u * u * u), 2: (lambda u: u * u, math.sqrt)}
 
 
 class Letter(_Frozen):
-    __slots__ = ("ell", "j", "domain_index", "range_index")
-    # domain_index and range_index are derived: eq and hash read (ell, j)
+    __slots__ = ("ell", "j", "domain_index", "range_index", "fwd", "inv")
+    # the other fields are derived: eq and hash read (ell, j); fwd and inv
+    # hold the piece and its inverse, None on the identity letters, so a
+    # hot loop calls a function only at a bend
     _key = attrgetter("ell", "j")
 
     def __init__(self, ell: int, j: int):
@@ -48,19 +54,16 @@ class Letter(_Frozen):
         _set(self, "j", j)
         _set(self, "domain_index", ell)
         _set(self, "range_index", ell + j - 2)
+        fwd, inv = _BEND_PIECES.get(ell, (None, None)) if j == 2 else (None, None)
+        _set(self, "fwd", fwd)
+        _set(self, "inv", inv)
 
     def piece(self, u: float, inverse: bool = False) -> float:
-        """The letter's increasing bijection of [0, 1] on the local coordinate.
-
-        The cube root on (1, 2), the square on (2, 2), the identity on every
-        other letter; ``inverse`` applies the inverse map instead.
-        """
-        if self.j == 2:
-            if self.ell == 1:
-                return u * u * u if inverse else cbrt(u)
-            if self.ell == 2:
-                return math.sqrt(u) if inverse else u * u
-        return u
+        """The letter's increasing bijection of [0, 1] on the local coordinate:
+        the cube root on (1, 2), the square on (2, 2), the identity on every
+        other letter; ``inverse`` applies the inverse map instead."""
+        f = self.inv if inverse else self.fwd
+        return u if f is None else f(u)
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +88,8 @@ def letters_with_range(r: int) -> tuple[Letter, ...]:
 
 def is_admissible(letters: Sequence[Letter]) -> bool:
     """Consecutive letters must chain: range of one equals domain of next."""
-    return all(
-        a.range_index == b.domain_index for a, b in zip(letters, letters[1:])
-    )
+    nxt = islice(letters, 1, None)
+    return all(a.range_index == b.domain_index for a, b in zip(letters, nxt))
 
 
 class Word(_Frozen):

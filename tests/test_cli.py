@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -419,6 +423,27 @@ def test_render_all_figures(tmp_path):
         out = tmp_path / f"{fig}.svg"
         assert main(["render", fig, "--out", str(out), "--depth", "4"]) == 0
         assert out.stat().st_size > 200
+
+
+@pytest.mark.parametrize("fig", FIGURE_IDS)
+def test_render_refuses_a_capped_depth_before_enumerating(fig, tmp_path):
+    # depth 30 asks for 2^30 addresses or samples, about 3^30 words a
+    # bundle, or a fan of about 10^15 legs: every figure checks its item
+    # count against the cap first, and a refused render is a usage error
+    out = tmp_path / "f.svg"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["render", fig, "--out", str(out), "--depth", "30"]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanshift.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 2
+    assert f"cap {itinerary.ENUMERATION_CAP}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 2.0
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

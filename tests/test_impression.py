@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -291,24 +292,128 @@ def test_verify_orbit_counts_a_visit_past_the_word_end_as_uncovered(small_orbit)
     assert check["covered"] == check["net_size"] - 1
 
 
-def test_verify_orbit_walks_the_orbit_once(small_orbit, monkeypatch):
-    # one piece per orbit letter for the trace, then 2N per visit window
-    # and 2N per finite net element for the window metric
+class _CountingLetter:
+    """A stand-in for an orbit letter whose piece and inverse count every
+    step taken through them; an identity letter gets a counting identity,
+    so each letter a walk passes is seen."""
+
+    def __init__(self, lt: Letter, calls: list):
+        self.ell, self.j = lt.ell, lt.j
+        self.domain_index, self.range_index = lt.domain_index, lt.range_index
+
+        def counted(f):
+            def step(u):
+                calls.append(1)
+                return u if f is None else f(u)
+
+            return step
+
+        self.fwd, self.inv = counted(lt.fwd), counted(lt.inv)
+
+
+def _counting(result, calls):
+    """The result with its orbit word's letters swapped for counting ones."""
+    p = result.point
+    letters = tuple(_CountingLetter(lt, calls) for lt in p.word.letters)
+    return result._replace(point=MPoint(Word._trusted(letters, p.lo), p.t0))
+
+
+def test_verify_orbit_walks_the_orbit_once(small_orbit):
+    # one step per orbit letter up to the last visit time, then 2N per
+    # visit window; the net's own windows use the net's letters
     calls = []
-    piece = Letter.piece
-
-    def counting(self, u, inverse=False):
-        calls.append(1)
-        return piece(self, u, inverse)
-
-    res = small_orbit
+    res = _counting(small_orbit, calls)
     n = res.cfg.half_width
-    finite = sum(not res.net[v.net_index].is_all_infinity for v in res.visits)
-    monkeypatch.setattr(Letter, "piece", counting)
     assert verify_orbit(res)["passed"]
-    letters = len(res.point.word.letters)
-    assert len(calls) == letters + 2 * n * (len(res.visits) + finite)
-    assert len(calls) == 2876
+    last = max(v.time for v in res.visits)
+    assert len(calls) == last + 2 * n * len(res.visits)
+    assert last < len(res.point.word.letters)
+    assert len(calls) == 2744
+
+
+def test_verify_orbit_walks_only_to_the_visit_times(small_orbit):
+    # with the first three visits kept, the walk stops at the third
+    calls = []
+    res = _counting(small_orbit, calls)
+    visits = res.visits[:3]
+    check = verify_orbit(res._replace(visits=visits))
+    assert check["covered"] == 3
+    n = res.cfg.half_width
+    assert len(calls) == max(v.time for v in visits) + 2 * n * 3
+    assert len(calls) < len(res.point.word.letters) // 10
+
+
+def _full_trace_verify(result: impression.OrbitResult) -> dict:
+    """``verify_orbit`` as it stood when it traced every coordinate of the
+    orbit word with ``_local_trace``; the oracle for the walk that stops
+    at the visit times."""
+    eps, cfg = result.eps, result.cfg
+    n = cfg.half_width
+    p = result.point
+    lo, hi = p.lo, p.hi
+    trace = _local_trace(p, lo, hi + 1)
+    worst = worst_fwd = 0.0
+    seen = set()
+    for v in result.visits:
+        if not lo + n <= v.time <= hi + 1 - n:
+            continue
+        sl = p.word.slice(v.time - n, v.time + n - 1)
+        x = XPoint(p.word.domain_at(v.time), trace[v.time - lo])
+        w = MPoint(Word._trusted(sl.letters, -n), x)
+        d, f = _window_dists(w, result.net[v.net_index], cfg)
+        worst, worst_fwd = max(worst, d), max(worst_fwd, f)
+        if d <= eps:
+            seen.add(v.net_index)
+    return {
+        "covered": len(seen),
+        "net_size": len(result.net),
+        "coverage": len(seen) / len(result.net),
+        "max_dist": worst,
+        "max_forward_dist": worst_fwd,
+        "passed": len(seen) == len(result.net),
+    }
+
+
+@pytest.mark.parametrize("offset", [1, 2, 37, 400, 1500])
+def test_verify_orbit_matches_the_full_trace_left_of_the_base(small_orbit, offset):
+    # shifting the base right moves the word's start left of -N, so the
+    # visits before the new base sit at negative times, where the walk
+    # pulls back through inverse pieces; two forged visits reach past
+    # either end of the word
+    from fanshift.mahavier import shift
+
+    p, n = small_orbit.point, small_orbit.cfg.half_width
+    for _ in range(offset):
+        p = shift(p)
+    visits = [Visit(v.net_index, v.time - offset, v.dist) for v in small_orbit.visits]
+    visits += [Visit(0, p.lo + n - 1, 0.0), Visit(1, p.hi + 2 - n, 0.0)]
+    forged = small_orbit._replace(point=p, visits=visits)
+    assert p.lo < -n
+    assert any(p.lo + n <= v.time < 0 for v in visits)
+    assert verify_orbit(forged) == _full_trace_verify(forged)
+    assert _full_trace_verify(small_orbit) == verify_orbit(small_orbit)
+
+
+def test_orbit_memory_stays_window_sized():
+    # at the defaults the orbit has 117,740 letters; the builder carries
+    # one coordinate and verify_orbit one per visit time, so neither keeps
+    # a float per letter (7.2 MB and 4.2 MB of traced peak when both did)
+    cfg = WindowConfig(2)
+    net = build_net(0.125, cfg)
+    _exponents.cache_clear()  # the builder pays for its table, as a command does
+    tracemalloc.start()
+    try:
+        res = transitive_orbit_builder(0.125, cfg, net=net)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        check = verify_orbit(res)
+        _, verify_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check["passed"] and len(res.point.word.letters) == 117_740
+    assert build_peak <= 3.5e6
+    assert verify_peak - held <= 1.0e6
 
 
 def test_orbit_visits_match_shifted_windows():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,10 +268,22 @@ def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, p_base, q_bas
             dist_window(p, q, WindowConfig(n + extra + 1))
 
 
-def test_window_dists_reject_a_trace_outside_the_unit_interval(monkeypatch):
-    # both metric paths range-check every traced coordinate
+def test_window_dists_reject_a_trace_outside_the_unit_interval():
+    # both metric paths range-check every traced coordinate; no real piece
+    # leaves [0, 1], so the word holds stand-in letters whose pieces do
     p = random_window_point(rng(6), 2, 3)
-    monkeypatch.setattr(Letter, "piece", lambda self, u, inverse=False: 1.5)
+
+    def escape(u):
+        return 1.5
+
+    stand_ins = tuple(
+        SimpleNamespace(
+            domain_index=lt.domain_index, range_index=lt.range_index,
+            fwd=escape, inv=escape,
+        )
+        for lt in p.word.letters
+    )
+    p = MPoint(Word._trusted(stand_ins, p.lo), p.t0)
     with pytest.raises(ValueError, match="outside"):
         coord_range(p, -3, 3)
     with pytest.raises(ValueError, match="outside"):
