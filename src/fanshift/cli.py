@@ -35,7 +35,7 @@ import sys
 import time
 
 from . import impression, invariants, itinerary, quotients, relations
-from .errors import FanshiftError, NotDistinguished
+from .errors import FanshiftError, NotDistinguished, ResourceCapExceeded
 from .figures import FIGURE_IDS, render_figure
 from .mahavier import (
     WindowConfig,
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         params = _RENDER_PARAMS[args.figure]
     else:
         run, params = COMMANDS[args.name]
-    # invalid values, unreadable config files and refused renders are usage errors
+    # invalid values, unreadable config files and capped renders are usage errors
     try:
         values = _resolve(params, vars(args), _load_config(args.config))
         if args.command == "render":
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
                 witnesses = [{"error": type(exc).__name__, "message": str(exc)}]
                 extra = {}
             elapsed = time.perf_counter() - started
-    except (OSError, ValueError, FanshiftError) as exc:
+    except (OSError, ValueError, ResourceCapExceeded) as exc:
         parser.error(str(exc))  # exits 2
 
     if args.command == "render":

@@ -154,26 +154,40 @@ def fig_relation(samples: int) -> str:
     svg.line(*pt(0, 0), *pt(1, 0), stroke="#bbbbbb", width=0.6)
     svg.line(*pt(0, 0), *pt(0, 1), stroke="#bbbbbb", width=0.6)
 
-    # the cube root on interval 1 and the square on interval 2
-    grid = [i / samples for i in range(samples + 1)]
-    cube_root, square = (lambda u: u ** (1.0 / 3.0)), (lambda u: u * u)
-    for k, bend, stroke in ((1, cube_root, "#8c2d19"), (2, square, "#b4741e")):
-        curve = [pt(embed(XPoint(k, u)), embed(XPoint(k, bend(u)))) for u in grid]
-        svg.polyline(curve, stroke=stroke, width=1.6)
+    curve = []
+    for i in range(samples + 1):
+        u = i / samples
+        x = XPoint(1, u)
+        curve.append(pt(embed(x), embed(XPoint(1, u ** (1.0 / 3.0)))))
+    svg.polyline(curve, stroke="#8c2d19", width=1.6)
 
-    # translations up, down and the identity, as segments between intervals
-    for ks, dk, stroke in (
-        (range(1, 7), 1, "#245c36"),
-        (range(2, 8), -1, "#2b5f8a"),
-        (range(3, 8), 0, "#5a3a78"),
-    ):
-        for k in ks:
-            svg.line(
-                *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + dk, 0.0))),
-                *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + dk, 1.0))),
-                stroke=stroke,
-                width=1.4,
-            )
+    curve = []
+    for i in range(samples + 1):
+        u = i / samples
+        curve.append(pt(embed(XPoint(2, u)), embed(XPoint(2, u * u))))
+    svg.polyline(curve, stroke="#b4741e", width=1.6)
+
+    for k in range(1, 7):
+        svg.line(
+            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + 1, 0.0))),
+            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + 1, 1.0))),
+            stroke="#245c36",
+            width=1.4,
+        )
+    for k in range(2, 8):
+        svg.line(
+            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k - 1, 0.0))),
+            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k - 1, 1.0))),
+            stroke="#2b5f8a",
+            width=1.4,
+        )
+    for k in range(3, 8):
+        svg.line(
+            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k, 0.0))),
+            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k, 1.0))),
+            stroke="#5a3a78",
+            width=1.4,
+        )
     svg.circle(*pt(1.0, 1.0), 4.0)
     return svg.render()
 
@@ -185,8 +199,7 @@ def fig_model_space(depth: int) -> str:
     def pt(c, tau):
         return 40.0 + 920.0 * c, 640.0 - 1100.0 * tau
 
-    most = max(count_words_recurrence(k, depth)[-1] for k in range(1, 8))
-    _capped(most, "words in one bundle")
+    _capped(count_words_recurrence(7, depth)[-1], "words in bundle 7")  # the largest
     for k in range(1, 8):
         h = fiber_length(k)
         for w in iter_words(k, depth):

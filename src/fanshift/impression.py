@@ -23,8 +23,7 @@ from .mahavier import (
     MPoint,
     WindowConfig,
     _coords_at,
-    _pull,
-    _push,
+    _walk,
     _window_dists,
     dist_window,
 )
@@ -54,6 +53,12 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
 
     u0 = s.u
     interior = 0.0 < u0 < 1.0
+
+    def value(m: int, n: int) -> float:
+        if not interior:
+            return u0
+        return u0 ** (2.0**m / 3.0**n)
+
     # key: (interval, m, n); endpoint seeds keep a constant coordinate, so
     # their exponent components stay pinned at zero.
     start = (s.k, 0, 0)
@@ -76,7 +81,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
         frontier = nxt
         if not frontier:
             break
-    return {XPoint(k, u0 ** (2.0**m / 3.0**n) if interior else u0) for k, m, n in seen}
+    return {XPoint(k, value(m, n)) for k, m, n in seen}
 
 
 class SymbolicPoint(NamedTuple):
@@ -352,8 +357,7 @@ def transitive_orbit_builder(
         raise ValueError("net must be nonempty")
     target = eps * 0.995
 
-    # Position bookkeeping: letters occupy transitions -n, -n+1, ...; the
-    # letter at orbit transition t is letters[t + n], and only the local
+    # letters[t + n] is the letter at orbit transition t; only the local
     # coordinate after the last letter is carried, in ``u_end``.
     letters: list[Letter] = []
     visits: list[Visit] = []
@@ -379,8 +383,9 @@ def transitive_orbit_builder(
     seed_elem = net[order[0]]
     u_seed = min(1.0 - 2.0**-20, max(2.0**-20, seed_elem.t0.u))
     central = seed_elem.word.slice(-n, n - 1).letters
-    u_base = _push(_pull(u_seed, central[:n]), central[:n])
-    u_end = _push(u_base, central[n:])
+    u_left = _walk(u_seed, central[:n], inverse=True)
+    u_base = _walk(u_left, central[:n], inverse=False)
+    u_end = _walk(u_base, central[n:], inverse=False)
     letters.extend(central)
     if not visit(order[0], 0, u_base):
         raise PathNotFound("seed element not matched; refine the height grid")
@@ -408,18 +413,17 @@ def transitive_orbit_builder(
         word = elem.word
         central = list(word.slice(-n, n - 1).letters)
         d_left = word.domain_at(-n)
-        v_target = _pull(elem.t0.u, central[:n])
+        v_target = _walk(elem.t0.u, central[:n], inverse=True)
         size = len(letters)
         tried = 0
         candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
             conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            # the element's letters cover orbit transitions base-n..base+n-1,
-            # centering the visit at time ``base``; an exact endpoint would
-            # pin every later coordinate there, so only an interior candidate
-            # is appended, and taken back if it misses
-            u_mid = _push(_push(u_end, conn), central[:n])
-            u_next = _push(u_mid, central[n:])
+            # the element's letters center the visit at time size + len(conn);
+            # an exact endpoint would pin every later coordinate there, so
+            # only an interior candidate is appended, and taken back on a miss
+            u_mid = _walk(u_end, conn + central[:n], inverse=False)
+            u_next = _walk(u_mid, central[n:], inverse=False)
             if 0.0 < u_next < 1.0:
                 letters.extend(conn + central)
                 if visit(oi, size + len(conn), u_mid):
@@ -451,7 +455,6 @@ def verify_orbit(result: OrbitResult) -> dict:
     eps, cfg = result.eps, result.cfg
     n = cfg.half_width
     p = result.point
-    # a visit whose window leaves the orbit word is uncovered
     inside = [v for v in result.visits if p.lo + n <= v.time <= p.hi + 1 - n]
     coord = _coords_at(p, {v.time for v in inside})
     worst = worst_fwd = 0.0

@@ -30,16 +30,9 @@ from .xspace import _Frozen, _set, cbrt
 ENUMERATION_CAP = 10**6
 # words per expanded slice in cantor_certificate's level walk
 _LEVEL_SLICE = 1024
-# (forward, inverse) piece of each bending stay-letter, by domain interval:
-# the cube root on interval 1, the square on interval 2
-_BEND_PIECES = {1: (cbrt, lambda u: u * u * u), 2: (lambda u: u * u, math.sqrt)}
-
-
 class Letter(_Frozen):
-    __slots__ = ("ell", "j", "domain_index", "range_index", "fwd", "inv")
-    # the other fields are derived: eq and hash read (ell, j); fwd and inv
-    # hold the piece and its inverse, None on the identity letters, so a
-    # hot loop calls a function only at a bend
+    __slots__ = ("ell", "j", "domain_index", "range_index")
+    # domain_index and range_index are derived: eq and hash read (ell, j)
     _key = attrgetter("ell", "j")
 
     def __init__(self, ell: int, j: int):
@@ -54,16 +47,19 @@ class Letter(_Frozen):
         _set(self, "j", j)
         _set(self, "domain_index", ell)
         _set(self, "range_index", ell + j - 2)
-        fwd, inv = _BEND_PIECES.get(ell, (None, None)) if j == 2 else (None, None)
-        _set(self, "fwd", fwd)
-        _set(self, "inv", inv)
 
     def piece(self, u: float, inverse: bool = False) -> float:
-        """The letter's increasing bijection of [0, 1] on the local coordinate:
-        the cube root on (1, 2), the square on (2, 2), the identity on every
-        other letter; ``inverse`` applies the inverse map instead."""
-        f = self.inv if inverse else self.fwd
-        return u if f is None else f(u)
+        """The letter's increasing bijection of [0, 1] on the local coordinate.
+
+        The cube root on (1, 2), the square on (2, 2), the identity on every
+        other letter; ``inverse`` applies the inverse map instead.
+        """
+        if self.j == 2:
+            if self.ell == 1:
+                return u * u * u if inverse else cbrt(u)
+            if self.ell == 2:
+                return math.sqrt(u) if inverse else u * u
+        return u
 
 
 @lru_cache(maxsize=None)

@@ -116,42 +116,31 @@ def _local_trace(p: MPoint, lo: int, hi: int) -> list[float]:
     if lo < p.lo or hi > p.hi + 1 or lo > hi:
         raise IndexError("requested coordinates outside window")
     letters, base, first = p.word.letters, -p.word.start, min(lo, 0)
-    # each step calls a function only at a bend
-    u = u0 = p.t0.u
-    run = reversed(letters[base + first : base])
-    left = [u := u if lt.inv is None else lt.inv(u) for lt in run]
-    u = u0
-    run = letters[base : base + hi]
-    trace = left[::-1] + [u0] + [u := u if lt.fwd is None else lt.fwd(u) for lt in run]
+    trace = [p.t0.u]
+    for lt in reversed(letters[base + first : base]):
+        trace.append(lt.piece(trace[-1], inverse=True))
+    trace.reverse()
+    for lt in letters[base : base + hi]:
+        trace.append(lt.piece(trace[-1]))
     return trace[lo - first : hi - first + 1]
 
 
-def _push(u: float, run) -> float:
-    """Push a local coordinate through a run of letters, left to right."""
-    for lt in run:
-        if lt.fwd is not None:
-            u = lt.fwd(u)
-    return u
-
-
-def _pull(u: float, run) -> float:
-    """Pull a local coordinate back through a run of letters, right to left."""
-    for lt in reversed(run):
-        if lt.inv is not None:
-            u = lt.inv(u)
+def _walk(u: float, run, *, inverse: bool) -> float:
+    """Carry a local coordinate through a run of letters, or back through it."""
+    for lt in reversed(run) if inverse else run:
+        u = lt.piece(u, inverse)
     return u
 
 
 def _coords_at(p: MPoint, times) -> dict[int, float]:
-    """Local coordinates of a finite-window point at the given times, from
-    one walk outward from the base that stops at each of them: forward for
-    times >= 0, backward for times < 0, as ``_local_trace`` steps."""
+    """Local coordinates at the given times, from one walk outward from the
+    base: forward to times >= 0, back to times < 0, as ``_local_trace`` steps."""
     letters, base, out = p.word.letters, -p.word.start, {}
     for ahead in (True, False):
         u, pos = p.t0.u, 0
         for t in sorted((t for t in times if (t >= 0) is ahead), key=abs):
             run = letters[base + min(pos, t) : base + max(pos, t)]
-            out[t] = u = _push(u, run) if ahead else _pull(u, run)
+            out[t] = u = _walk(u, run, inverse=not ahead)
             pos = t
     return out
 

@@ -293,42 +293,45 @@ def test_verify_orbit_counts_a_visit_past_the_word_end_as_uncovered(small_orbit)
 
 
 class _CountingLetter:
-    """A stand-in for an orbit letter whose piece and inverse count every
-    step taken through them; an identity letter gets a counting identity,
-    so each letter a walk passes is seen."""
+    """A stand-in for a letter whose piece, forward or inverse, counts
+    every step taken through it, the identity steps included."""
 
     def __init__(self, lt: Letter, calls: list):
-        self.ell, self.j = lt.ell, lt.j
+        self.lt, self.calls = lt, calls
         self.domain_index, self.range_index = lt.domain_index, lt.range_index
 
-        def counted(f):
-            def step(u):
-                calls.append(1)
-                return u if f is None else f(u)
-
-            return step
-
-        self.fwd, self.inv = counted(lt.fwd), counted(lt.inv)
+    def piece(self, u: float, inverse: bool = False) -> float:
+        self.calls.append(1)
+        return self.lt.piece(u, inverse)
 
 
 def _counting(result, calls):
-    """The result with its orbit word's letters swapped for counting ones."""
-    p = result.point
-    letters = tuple(_CountingLetter(lt, calls) for lt in p.word.letters)
-    return result._replace(point=MPoint(Word._trusted(letters, p.lo), p.t0))
+    """The result with the letters of its orbit word and of every finite
+    net element swapped for counting ones."""
+
+    def counted(p: MPoint) -> MPoint:
+        if p.is_all_infinity:
+            return p
+        letters = tuple(_CountingLetter(lt, calls) for lt in p.word.letters)
+        return MPoint(Word._trusted(letters, p.lo), p.t0)
+
+    return result._replace(
+        point=counted(result.point), net=[counted(q) for q in result.net]
+    )
 
 
 def test_verify_orbit_walks_the_orbit_once(small_orbit):
     # one step per orbit letter up to the last visit time, then 2N per
-    # visit window; the net's own windows use the net's letters
+    # visit window and 2N per finite net element for the window metric
     calls = []
     res = _counting(small_orbit, calls)
     n = res.cfg.half_width
+    finite = sum(not res.net[v.net_index].is_all_infinity for v in res.visits)
     assert verify_orbit(res)["passed"]
     last = max(v.time for v in res.visits)
-    assert len(calls) == last + 2 * n * len(res.visits)
+    assert len(calls) == last + 2 * n * (len(res.visits) + finite)
     assert last < len(res.point.word.letters)
-    assert len(calls) == 2744
+    assert len(calls) == 2874
 
 
 def test_verify_orbit_walks_only_to_the_visit_times(small_orbit):
@@ -339,7 +342,8 @@ def test_verify_orbit_walks_only_to_the_visit_times(small_orbit):
     check = verify_orbit(res._replace(visits=visits))
     assert check["covered"] == 3
     n = res.cfg.half_width
-    assert len(calls) == max(v.time for v in visits) + 2 * n * 3
+    finite = sum(not res.net[v.net_index].is_all_infinity for v in visits)
+    assert len(calls) == max(v.time for v in visits) + 2 * n * (3 + finite)
     assert len(calls) < len(res.point.word.letters) // 10
 
 

@@ -272,14 +272,10 @@ def test_window_dists_reject_a_trace_outside_the_unit_interval():
     # both metric paths range-check every traced coordinate; no real piece
     # leaves [0, 1], so the word holds stand-in letters whose pieces do
     p = random_window_point(rng(6), 2, 3)
-
-    def escape(u):
-        return 1.5
-
     stand_ins = tuple(
         SimpleNamespace(
             domain_index=lt.domain_index, range_index=lt.range_index,
-            fwd=escape, inv=escape,
+            piece=lambda u, inverse=False: 1.5,
         )
         for lt in p.word.letters
     )

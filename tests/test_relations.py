@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fanshift import relations
-from fanshift.itinerary import Letter, letters_with_domain
+from fanshift.itinerary import Letter
 from fanshift.relations import (
     GLOBAL_MAPS,
     decomposition_check,
@@ -14,7 +14,7 @@ from fanshift.relations import (
     h_preimage,
     in_H,
 )
-from fanshift.xspace import INFINITY, XPoint, cbrt, dist
+from fanshift.xspace import INFINITY, XPoint, dist
 
 from _util import random_xpoint, rng
 
@@ -48,35 +48,6 @@ def test_pieces_preserve_strict_order():
                 continue
             assert lt.piece(u) < lt.piece(v)
             assert lt.piece(u, inverse=True) < lt.piece(v, inverse=True)
-
-
-def _branch_piece(lt: Letter, u: float, inverse: bool) -> float:
-    """The branch code ``Letter.piece`` ran before letters stored their
-    pieces; the oracle for the stored ones."""
-    if lt.j == 2:
-        if lt.ell == 1:
-            return u * u * u if inverse else cbrt(u)
-        if lt.ell == 2:
-            return math.sqrt(u) if inverse else u * u
-    return u
-
-
-def test_stored_pieces_match_the_branch_code_bit_for_bit():
-    r = rng(2)
-    us = [0.0, 1.0, 2.0**-1074, 2.0**-60, 0.5, 1.0 - 2.0**-53]
-    us += [r.random() for _ in range(2000)]
-    letters = [lt for d in range(1, 8) for lt in letters_with_domain(d)]
-    letters.append(Letter(1, 1))
-    for lt in letters:
-        # only the two bends carry a function
-        bend = lt.j == 2 and lt.ell <= 2
-        assert (lt.fwd is not None, lt.inv is not None) == (bend, bend)
-        for u in us:
-            for inverse in (False, True):
-                want = _branch_piece(lt, u, inverse).hex()
-                f = lt.inv if inverse else lt.fwd
-                assert (u if f is None else f(u)).hex() == want
-                assert lt.piece(u, inverse=inverse).hex() == want
 
 
 def test_in_H_examples():
