@@ -10,8 +10,8 @@ import math
 from itertools import product as iter_product
 
 from .errors import ResourceCapExceeded
-from .itinerary import ENUMERATION_CAP, address_value, cantor_address
-from .itinerary import count_words_recurrence, iter_words
+from .itinerary import ENUMERATION_CAP, address_value, count_words_recurrence
+from .itinerary import iter_addresses
 from .mahavier import chunk_x, fiber_length
 from .quotients import AParam, build_fan, host_bundle
 from .xspace import XPoint, embed
@@ -202,8 +202,8 @@ def fig_model_space(depth: int) -> str:
     _capped(count_words_recurrence(7, depth)[-1], "words in bundle 7")  # the largest
     for k in range(1, 8):
         h = fiber_length(k)
-        for w in iter_words(k, depth):
-            c = chunk_x(k, cantor_address(w))
+        for addr in iter_addresses(k, depth):
+            c = chunk_x(k, addr)
             svg.line(*pt(c, 0.0), *pt(c, h), width=0.7)
     svg.circle(*pt(1.0, 0.0), 3.5)
     return svg.render()

@@ -18,9 +18,9 @@ import bisect
 import math
 from array import array
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import NotDistinguished
 from .mahavier import chunk_x
@@ -47,32 +47,30 @@ def juma_count(fan: FanModel, leg_index: int) -> int:
 
 
 class JumaProfile(_Frozen):
-    """Sorted multiset of accumulation counts, one per endpoint."""
+    """Multiset of accumulation counts, one per endpoint, held as sorted
+    (count, multiplicity) pairs; ``counts`` lists every endpoint's count,
+    or is a ``Counter`` of them."""
 
-    # no __slots__: the cached tally lives in the instance dict
-    _key = attrgetter("counts")
+    __slots__ = ("pairs",)
+    _key = attrgetter("pairs")
 
-    def __init__(self, counts: tuple[int, ...]):
-        _set(self, "counts", counts)
+    def __init__(self, counts: Iterable[int] | Counter):
+        _set(self, "pairs", tuple(sorted(Counter(counts).items())))
 
-    @cached_property
-    def _tally(self) -> Counter:
-        return Counter(self.counts)
-
-    @cached_property
+    @property
     def distinct_values(self) -> frozenset[int]:
-        return frozenset(self._tally)
+        return frozenset(c for c, _ in self.pairs)
 
     def multiset(self) -> Counter:
-        return Counter(self._tally)  # a copy, so the tally stays as counted
+        return Counter(dict(self.pairs))
 
 
 def profile(fan: FanModel) -> JumaProfile:
-    # every endpoint that hosts no guest has one height, and every count is
-    # at least 1, so the ones sort first
+    # every endpoint that hosts no guest has one height; adding Counters
+    # drops a zero count of ones
     hosts = fan._guests_by_host
     ones = len(fan.legs) - len(fan.guest_indices) - len(hosts)
-    return JumaProfile((1,) * ones + tuple(sorted(juma_count(fan, h) for h in hosts)))
+    return JumaProfile(Counter({1: ones}) + Counter(juma_count(fan, h) for h in hosts))
 
 
 class DistinguishCertificate(NamedTuple):
@@ -277,29 +275,14 @@ def _bundle_scan(legs: tuple[Leg, ...], grid: float) -> _BundleScan:
 class OracleResult:
     """Detected accumulation points per maximal leg.
 
-    ``clusters`` maps a leg index to merged detection intervals (lo, hi), in
-    leg order; it is assembled on first read.  ``_scans`` holds, per
-    bundle, the global indices of its tips and their memoised, shared
-    ``_BundleScan``, valid for every leg that hosts no guest; ``_hosts``
-    holds each host's own clusters.
+    ``_scans`` holds, per bundle, the global indices of its tips and their
+    memoised, shared ``_BundleScan``, valid for every leg that hosts no
+    guest; ``_hosts`` holds each host's own merged detection intervals.
     """
 
     def __init__(self, scans: dict, hosts: dict):
         self._scans = scans
         self._hosts = hosts
-
-    @cached_property
-    def clusters(self) -> dict:
-        found = [(li, kept) for li, kept in self._hosts.items() if kept]
-        for idx, scan in self._scans.values():
-            starts = scan.starts
-            found.extend(
-                (li, scan.clusters(j))
-                for j, li in enumerate(idx)
-                if starts[j] < starts[j + 1] and li not in self._hosts
-            )
-        found.sort(key=itemgetter(0))
-        return dict(found)
 
 
 def juma_metric_oracle(fan: FanModel, grid: float = 2.0**-10) -> OracleResult:

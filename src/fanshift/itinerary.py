@@ -25,11 +25,11 @@ from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ResourceCapExceeded
-from .xspace import _Frozen, _set, cbrt
+from .xspace import XPoint, _Frozen, _set, cbrt
 
 ENUMERATION_CAP = 10**6
-# words per expanded slice in cantor_certificate's level walk
-_LEVEL_SLICE = 1024
+
+
 class Letter(_Frozen):
     __slots__ = ("ell", "j", "domain_index", "range_index")
     # domain_index and range_index are derived: eq and hash read (ell, j)
@@ -183,26 +183,25 @@ def iter_words(k: int, n: int, *, start: int = 0) -> Iterator[Word]:
             yield Word(chain, start)
 
 
-def count_words_recurrence(k: int, n: int) -> list[int]:
-    """Expected word counts for lengths 1..n from the branching recurrence.
-
-    State is the current range interval; interval 1 branches 2 ways,
-    everything else 3 ways.
-    """
-    counts = []
-    state: dict[int, int] = {}
-    for lt in letters_with_domain(k):
-        state[lt.range_index] = state.get(lt.range_index, 0) + 1
-    counts.append(sum(state.values()))
-    for _ in range(n - 1):
+def _walks(k: int, n: int, succ) -> Iterator[dict[int, int]]:
+    """Walks of 1..n steps from interval k on a graph where ``succ(r)``
+    lists the ends of the edges out of r: per length, the number of walks
+    ending at each interval, as exact integers."""
+    ending = {k: 1}  # the empty walk ends at k
+    for _ in range(n):
         nxt: dict[int, int] = {}
-        for r, c in state.items():
-            for lt in letters_with_domain(r):
-                rr = lt.range_index
-                nxt[rr] = nxt.get(rr, 0) + c
-        state = nxt
-        counts.append(sum(state.values()))
-    return counts
+        for r, c in ending.items():
+            for r2 in succ(r):
+                nxt[r2] = nxt.get(r2, 0) + c
+        ending = nxt
+        yield ending
+
+
+def count_words_recurrence(k: int, n: int) -> list[int]:
+    """Expected word counts for lengths 1..n from the branching recurrence
+    on the letter table: interval 1 branches 2 ways, every other 3 ways."""
+    ends = _walks(k, n, lambda r: [lt.range_index for lt in letters_with_domain(r)])
+    return [sum(ending.values()) for ending in ends]
 
 
 class CantorCertificate(NamedTuple):
@@ -222,41 +221,32 @@ class CantorCertificate(NamedTuple):
 def cantor_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:
     """Check that no finite word can isolate an itinerary through interval k.
 
-    Walks every admissible word of length <= n starting at interval k and
-    records the two-sided branching; a minimum of 2 on both sides means no
-    cylinder of depth n contains an isolated itinerary.  Word counts per
-    length are tallied and compared against the branching recurrence.
-
-    The walk goes level by level: a level is a list holding one entry per
-    word, the range index of its final letter, and the next level lists
-    each word's one-letter extensions.  Levels are expanded in slices of
-    ``_LEVEL_SLICE`` words, depth first, so memory stays flat at any depth.
+    Counts the admissible words of length <= n starting at interval k as
+    walks on the interval graph of the literal maps, where interval r leads
+    to each interval that F1, F2 or F3 sends an interior point of r to, and
+    compares the counts with the letter table's branching recurrence.  A
+    minimum branching of 2 on both sides means no cylinder of depth n
+    contains an isolated itinerary.  More than ``cap`` words counted raise.
     """
+    # relations imports this module, so its literal maps are imported here
+    from .relations import GLOBAL_MAPS, global_apply
+
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
-    # succ[r]: range indices of the letters leaving interval r; a word of
-    # length <= n through k never ends beyond interval k + n
-    succ = [()] + [
-        tuple(lt.range_index for lt in letters_with_domain(r))
-        for r in range(1, k + n + 1)
-    ]
-    counts = [0] * n
-    reached: set[int] = set()
 
-    def walk(level: list[int], depth: int) -> None:
-        counts[depth - 1] += len(level)
-        if sum(counts) > cap:
+    def succ(r: int) -> set[int]:
+        return {global_apply(f, XPoint(r, 0.5)).k for f in GLOBAL_MAPS}
+
+    counts: list[int] = []
+    reached: set[int] = set()
+    for ending in _walks(k, n, succ):
+        counts.append(sum(ending.values()))
+        if sum(counts) > cap:  # per length, so a deep n stops early
             raise ResourceCapExceeded(
                 f"certificate walk (k={k}, n={n}) exceeded cap {cap}"
             )
-        reached.update(level)
-        if depth < n:
-            for i in range(0, len(level), _LEVEL_SLICE):
-                part = level[i : i + _LEVEL_SLICE]
-                walk([r2 for r in part for r2 in succ[r]], depth + 1)
-
-    walk(list(succ[k]), 1)
-    min_right = min(len(succ[r]) for r in reached)
+        reached.update(ending)
+    min_right = min(len(succ(r)) for r in reached)
     min_left = len(letters_with_range(k))
 
     expected = count_words_recurrence(k, n)
@@ -319,6 +309,32 @@ def cantor_address(word: Word) -> str:
         rank = candidates.index(letters[i])
         digits.append(_BLOCKS_2[rank] if len(candidates) == 2 else _BLOCKS_3[rank])
     return "".join(digits)
+
+
+def iter_addresses(k: int, n: int) -> Iterator[str]:
+    """Yield ``cantor_address(w)`` for each w of ``iter_words(k, n)``, in
+    that order, which is sorted order, without building a word.
+
+    Each level extends every address by one block per candidate letter, in
+    canonical order; the blocks of one step have one length and rise with
+    the rank, so every level stays sorted.  More than ``ENUMERATION_CAP``
+    words raise before any is walked."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    if count_words_recurrence(k, n)[-1] > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"enumeration of words (k={k}, n={n}) exceeded cap {ENUMERATION_CAP}"
+        )
+    level = [("", k)]
+    for _ in range(n):
+        level = [
+            (addr + block, lt.range_index)
+            for addr, r in level
+            for block, lt in zip(
+                _BLOCKS_2 if r == 1 else _BLOCKS_3, letters_with_domain(r)
+            )
+        ]
+    yield from (addr for addr, _ in level)
 
 
 def address_value(digits: str) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .itinerary import ENUMERATION_CAP, Letter, Word, address_value, cantor_address
-from .itinerary import count_words_recurrence, iter_words
+from .itinerary import count_words_recurrence, iter_addresses
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -579,9 +579,8 @@ class FanModel(_Frozen):
 @lru_cache(maxsize=256)
 def _bundle_legs(k: int, depth: int) -> tuple[Leg, ...]:
     """Bundle k's legs, one per admissible word of the depth, by address."""
-    length = fiber_length(k)
-    addresses = sorted(cantor_address(w) for w in iter_words(k, depth))
-    return tuple(Leg(str(k), addr, length) for addr in addresses)
+    bundle, length = str(k), fiber_length(k)
+    return tuple(Leg(bundle, addr, length) for addr in iter_addresses(k, depth))
 
 
 @lru_cache(maxsize=256)

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanshift.errors import ResourceCapExceeded
 import fanshift.itinerary as itinerary
+import fanshift.relations as relations
+from fanshift.cli import main
 from fanshift.itinerary import (
     _BLOCKS_2,
     _BLOCKS_3,
@@ -14,6 +18,7 @@ from fanshift.itinerary import (
     cantor_certificate,
     count_words_recurrence,
     encoding_positions,
+    iter_addresses,
     iter_words,
     is_admissible,
     letters_with_domain,
@@ -197,7 +202,8 @@ def test_certificate_small():
 def dfs_certificate(k: int, n: int, *, cap: int = 4 * 10**6) -> CantorCertificate:
     """The certificate as an iterative DFS with one stack entry per word,
     kept verbatim from the earlier implementation as the oracle for the
-    level walk."""
+    counting certificate: it walks the words one by one, on the letter
+    table rather than on the literal maps."""
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
     counts = [0] * n
@@ -254,7 +260,8 @@ def test_certificate_counts_match_enumeration():
 
 @pytest.mark.parametrize("k, n", [(1, 3), (3, 9), (1, 12)])
 def test_certificate_cap_boundary(k, n):
-    # (3, 9) and (1, 12) have levels longer than one expanded slice
+    # the cap bounds the words counted over all lengths: one word fewer
+    # than the total raises, the total itself passes
     total = dfs_certificate(k, n).words_checked
     message = rf"certificate walk \(k={k}, n={n}\) exceeded cap {total - 1}$"
     with pytest.raises(ResourceCapExceeded, match=message):
@@ -262,6 +269,61 @@ def test_certificate_cap_boundary(k, n):
     with pytest.raises(ResourceCapExceeded, match=message):
         dfs_certificate(k, n, cap=total - 1)
     assert cantor_certificate(k, n, cap=total).words_checked == total
+
+
+def test_certificate_cap_stops_a_deep_count_early(monkeypatch):
+    # the cap is checked per length: past it no further length is counted,
+    # so a depth far beyond the cap costs a few hundred map evaluations
+    calls = []
+    apply = relations.global_apply
+
+    def counting(name, x):
+        calls.append(name)
+        return apply(name, x)
+
+    monkeypatch.setattr(relations, "global_apply", counting)
+    with pytest.raises(ResourceCapExceeded, match=r"\(k=1, n=2000\) exceeded cap"):
+        cantor_certificate(1, 2000)
+    assert 0 < len(calls) < 2000
+
+
+def test_certificate_catches_a_dropped_letter(monkeypatch, capsys):
+    # the words are counted on the literal maps and the recurrence reads the
+    # letter table, so a table that lost a letter no longer matches; every
+    # right branching stays >= 2, so only the count comparison sees it
+    clean = cantor_certificate(3, 8)
+    table = itinerary.letters_with_domain  # planted defect: no up-letter at d >= 5
+    monkeypatch.setattr(
+        itinerary,
+        "letters_with_domain",
+        lambda d: tuple(lt for lt in table(d) if d < 5 or lt.j != 3),
+    )
+    cert = cantor_certificate(3, 8)
+    assert not cert.passed
+    assert cert.min_right_branching == 2 and cert.min_left_branching == 3
+    assert cert.counts_by_length == clean.counts_by_length
+    assert cert.recurrence_counts[-1] < clean.recurrence_counts[-1]
+    assert main(["verify", "cantor"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [w["k"] for w in report["witnesses"]] == list(range(1, 9))
+
+
+def test_addresses_walk_matches_words():
+    for k in range(1, 18):
+        for n in range(1, 8):
+            walked = list(iter_addresses(k, n))
+            listed = [cantor_address(w) for w in iter_words(k, n)]
+            assert walked == listed == sorted(listed), (k, n)
+
+
+def test_addresses_walk_cap(monkeypatch):
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 100)
+    walk = iter_addresses(5, 5)  # 243 words
+    with pytest.raises(ResourceCapExceeded, match=r"\(k=5, n=5\) exceeded cap 100$"):
+        next(walk)
+    assert len(list(iter_addresses(5, 4))) == 81
+    with pytest.raises(ValueError):
+        next(iter_addresses(1, 0))
 
 
 def test_slices_and_shifts_skip_the_admissibility_check(monkeypatch):

@@ -45,7 +45,6 @@ REASONS = {
 ALLOWED = {
     "errors.WellDefinednessError.__init__": ("failure", "descend finds a witness pair"),
     "invariants._BundleScan.clusters": ("failure", "oracle_agreement reports a missed leg"),
-    "invariants.OracleResult.clusters": ("oracle", "the metric oracle's per-leg result"),
     "mahavier.coord_range": ("acceptance", "criterion 5 through coords; a tracer span"),
     "mahavier.coords": ("acceptance", "criterion 5 reads zero-height coordinates"),
     "mahavier.model_map": ("benchmark", "shift-check job and tracer counter"),
