@@ -120,7 +120,7 @@ def _run_decomposition(kmax, samples, seed):
     rep = relations.decomposition_check(kmax, samples, seed=seed)
     witnesses = [rep.first_counterexample] if rep.first_counterexample else []
     # the always-empty ``notes`` keeps the recorded report digest until the
-    # benchmark's expected digests are renewed (ROADMAP item 11)
+    # benchmark's expected digests are renewed (ROADMAP item 13)
     return rep.passed, witnesses, {**rep._asdict(), "notes": []}
 
 

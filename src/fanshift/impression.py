@@ -14,6 +14,8 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import PathNotFound, ResourceCapExceeded
@@ -301,9 +303,12 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
     strictly inside the fiber and later connectors can keep steering.  For
     0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_exponents()``,
     so bisection finds both guard limits and the crossing of v_target; the
-    distance grows walking outward from the crossing on either side, and
-    each run of equal distances is yielded in (m + n, m, n) order.
+    distance grows walking outward from the crossing on either side, so the
+    two sides merge by distance, and each run of equal distances is yielded
+    in (m + n, m, n) order.
     """
+    from heapq import merge  # only orbit steering loads heapq
+
     exps = _exponents()
 
     def neg_power(entry: tuple[float, int, int]) -> float:
@@ -313,27 +318,13 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
     hi = bisect.bisect_left(exps, -INTERIOR_GUARD, lo, key=neg_power)
     mid = bisect.bisect_left(exps, -v_target, lo, hi, key=neg_power)
 
-    def gap(i: int) -> float:
-        if lo <= i < hi:
-            return abs(u_cur ** exps[i][0] - v_target)
-        return math.inf
+    def gapped(side):
+        return ((abs(u_cur**e - v_target), m, n) for e, m, n in side)
 
-    left, right = mid - 1, mid
-    d_left, d_right = gap(left), gap(right)
-    while tries > 0 and min(d_left, d_right) < math.inf:
-        d = min(d_left, d_right)
-        run = []
-        while d_left == d:
-            run.append(exps[left][1:])
-            left -= 1
-            d_left = gap(left)
-        while d_right == d:
-            run.append(exps[right][1:])
-            right += 1
-            d_right = gap(right)
-        run.sort(key=lambda mn: (mn[0] + mn[1], mn))
-        yield from run[:tries]
-        tries -= len(run)
+    outward = merge(gapped(reversed(exps[lo:mid])), gapped(exps[mid:hi]))
+    runs = groupby(outward, key=itemgetter(0))
+    ranked = (sorted((m + n, m, n) for _, m, n in run) for _, run in runs)
+    yield from islice(((m, n) for run in ranked for _, m, n in run), tries)
 
 
 def transitive_orbit_builder(

@@ -74,12 +74,14 @@ def letters_with_domain(d: int) -> tuple[Letter, ...]:
 
 @lru_cache(maxsize=None)
 def letters_with_range(r: int) -> tuple[Letter, ...]:
-    """All letters landing on interval r, in canonical (ell, j) order."""
+    """All letters landing on interval r, in canonical (ell, j) order: the
+    letters of the domain table on intervals r-1..r+1 whose range is r."""
     if r < 1:
         raise ValueError("range index must be >= 1")
-    if r == 1:
-        return (Letter(1, 2), Letter(2, 1))
-    return (Letter(r - 1, 3), Letter(r, 2), Letter(r + 1, 1))
+    near = range(max(1, r - 1), r + 2)
+    return tuple(
+        lt for d in near for lt in letters_with_domain(d) if lt.range_index == r
+    )
 
 
 def is_admissible(letters: Sequence[Letter]) -> bool:

@@ -96,23 +96,14 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     """
     if p.is_all_infinity:
         return [INFINITY] * (hi - lo + 1)
-    ks, us = _interval_trace(p, lo, hi)
+    ks, us = _local_trace(p, lo, hi)
     return [XPoint(k, u) for k, u in zip(ks, us)]
 
 
-def _interval_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
+def _local_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
     """Interval indices, read off the letters, and local coordinates lo..hi
-    of a finite-window point."""
-    us = _local_trace(p, lo, hi)
-    word = p.word
-    ks = [lt.domain_index for lt in word.letters[lo - word.start : hi - word.start]]
-    ks.append(word.domain_at(hi))
-    return ks, us
-
-
-def _local_trace(p: MPoint, lo: int, hi: int) -> list[float]:
-    """Local coordinates lo..hi of a finite-window point: the forward walk
-    runs through positions 0..hi-1 and the backward walk through -1..lo."""
+    of a finite-window point, from one walk outward from the base: forward
+    through positions 0..hi-1 and backward through -1..lo."""
     if lo < p.lo or hi > p.hi + 1 or lo > hi:
         raise IndexError("requested coordinates outside window")
     letters, base, first = p.word.letters, -p.word.start, min(lo, 0)
@@ -122,7 +113,9 @@ def _local_trace(p: MPoint, lo: int, hi: int) -> list[float]:
     trace.reverse()
     for lt in letters[base : base + hi]:
         trace.append(lt.piece(trace[-1]))
-    return trace[lo - first : hi - first + 1]
+    ks = [lt.domain_index for lt in letters[base + lo : base + hi]]
+    ks.append(p.word.domain_at(hi))
+    return ks, trace[lo - first : hi - first + 1]
 
 
 def _walk(u: float, run, *, inverse: bool) -> float:
@@ -174,11 +167,11 @@ def unshift(p: MPoint) -> MPoint:
 
 def _window_chart(p: MPoint, n: int) -> list[float]:
     """Chart images ``embed(coords(p, j))`` of coordinates -n..n, computed
-    on floats: the interval trace goes through the chart without building
-    an ``XPoint``."""
+    on floats: the local trace goes through the chart without building an
+    ``XPoint``."""
     if p.is_all_infinity:
         return [1.0] * (2 * n + 1)
-    ks, us = _interval_trace(p, -n, n)
+    ks, us = _local_trace(p, -n, n)
     for u in us:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"local coordinate {u!r} outside [0, 1]")

@@ -511,23 +511,15 @@ def descend(
 # ---------------------------------------------------------------------------
 
 
-class Leg(_Frozen):
-    __slots__ = ("bundle", "address", "length")
-    _key = attrgetter("bundle", "address", "length")
-
-    def __init__(self, bundle: str, address: str, length: float):
-        _set(self, "bundle", bundle)
-        _set(self, "address", address)
-        _set(self, "length", length)
+class Leg(NamedTuple):
+    bundle: str
+    address: str
+    length: float
 
 
-class Gluing(_Frozen):
-    __slots__ = ("host", "guest")
-    _key = attrgetter("host", "guest")
-
-    def __init__(self, host: int, guest: int):
-        _set(self, "host", host)
-        _set(self, "guest", guest)
+class Gluing(NamedTuple):
+    host: int
+    guest: int
 
 
 class FanModel(_Frozen):

@@ -1,12 +1,12 @@
 """Importing the CLI loads only what its commands need.
 
 A fresh ``python3 -I`` imports ``fanshift.cli`` and reports its
-``sys.modules``.  ``dataclasses``, ``fractions`` and ``inspect`` (which
-``dataclasses`` pulls in) must be absent, and ``impression`` must not have
-built its exponent table, which only orbit steering reads.  So that the
-check cannot pass vacuously, modules that the CLI does import must be
-present, and a run that imports ``dataclasses`` before the CLI must be
-flagged.
+``sys.modules``.  ``dataclasses``, ``fractions``, ``inspect`` (which
+``dataclasses`` pulls in) and ``heapq`` (which only orbit steering imports)
+must be absent, and ``impression`` must not have built its exponent table,
+which only orbit steering reads.  So that the check cannot pass vacuously,
+modules that the CLI does import must be present, and a run that imports
+``dataclasses`` before the CLI must be flagged.
 """
 
 import json
@@ -16,7 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-ABSENT = ("dataclasses", "fractions", "inspect")
+ABSENT = ("dataclasses", "fractions", "inspect", "heapq")
 PRESENT = ("fanshift.quotients", "fanshift.relations")
 
 PROBE = r"""

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import tracemalloc
@@ -258,7 +259,7 @@ def test_orbit_consecutive_pairs_admissible(small_orbit):
 
 def test_orbit_float_trace_equals_coord_range(small_orbit):
     p = small_orbit.point
-    trace = _local_trace(p, p.lo, p.hi + 1)
+    trace = _local_trace(p, p.lo, p.hi + 1)[1]
     assert trace == [x.u for x in coord_range(p, p.lo, p.hi + 1)]
 
 
@@ -355,7 +356,7 @@ def _full_trace_verify(result: impression.OrbitResult) -> dict:
     n = cfg.half_width
     p = result.point
     lo, hi = p.lo, p.hi
-    trace = _local_trace(p, lo, hi + 1)
+    trace = _local_trace(p, lo, hi + 1)[1]
     worst = worst_fwd = 0.0
     seen = set()
     for v in result.visits:
@@ -478,7 +479,7 @@ def test_orbit_measures_each_visit_once(
     assert len(measured) == calls
 
     p, n = res.point, half_width
-    trace = _local_trace(p, p.lo, p.hi + 1)
+    trace = _local_trace(p, p.lo, p.hi + 1)[1]
     for v in res.visits:
         sl = p.word.slice(v.time - n, v.time + n - 1)
         x = XPoint(p.word.domain_at(v.time), trace[v.time - p.lo])
@@ -596,6 +597,63 @@ def test_steer_candidates_equal_full_ranking_at_ties(u_cur, pick, tries):
     assert list(_steer_candidates(u_cur, v_target, tries)) == _ranked_reference(
         u_cur, v_target, tries
     )
+
+
+def _steer_candidates_loop(u_cur, v_target, tries):
+    """Verbatim copy of ``_steer_candidates`` as it stood when it walked the
+    two sides outward with a hand-written two-pointer loop; the oracle for
+    the merged walk."""
+    exps = _exponents()
+
+    def neg_power(entry: tuple[float, int, int]) -> float:
+        return -(u_cur ** entry[0])
+
+    lo = bisect.bisect_right(exps, -(1.0 - INTERIOR_GUARD), key=neg_power)
+    hi = bisect.bisect_left(exps, -INTERIOR_GUARD, lo, key=neg_power)
+    mid = bisect.bisect_left(exps, -v_target, lo, hi, key=neg_power)
+
+    def gap(i: int) -> float:
+        if lo <= i < hi:
+            return abs(u_cur ** exps[i][0] - v_target)
+        return math.inf
+
+    left, right = mid - 1, mid
+    d_left, d_right = gap(left), gap(right)
+    while tries > 0 and min(d_left, d_right) < math.inf:
+        d = min(d_left, d_right)
+        run = []
+        while d_left == d:
+            run.append(exps[left][1:])
+            left -= 1
+            d_left = gap(left)
+        while d_right == d:
+            run.append(exps[right][1:])
+            right += 1
+            d_right = gap(right)
+        run.sort(key=lambda mn: (mn[0] + mn[1], mn))
+        yield from run[:tries]
+        tries -= len(run)
+
+
+def test_steer_candidates_match_the_two_pointer_loop():
+    # every u within 1e-14 of 0 or 1, or at 2^-20 or 1 - 2^-20, meets v at
+    # 0, 1 and 1/2; then seeded draws mix those with uniform ones
+    r = random.Random(2024)
+    edge_u = (1e-15, 5e-15, 1e-14, 1 - 1e-14, 1 - 5e-15, 1 - 1e-15, 2.0**-20)
+    edge_u += (1.0 - 2.0**-20,)
+    cases = [(u, v, t) for u in edge_u for v in (0.0, 1.0, 0.5) for t in (1, 5, 600)]
+    for _ in range(1000):
+        u = r.choice((r.random(), r.choice(edge_u), r.uniform(0.0, 1e-14)))
+        v = r.choice((r.random(), 0.0, 1.0, r.uniform(1.0 - 1e-14, 1.0)))
+        cases.append((u, v, r.choice((1, 5, 600))))
+    # v halfway between u^(1/9) and u^2 ties (0, 2) with (1, 0) in many
+    # cases, and m + n ranks them against the (m, n) order
+    for _ in range(100):
+        u = r.random()
+        cases.append((u, (u ** (1 / 9) + u**2.0) / 2, 600))
+    for u, v, tries in cases:
+        got = list(_steer_candidates(u, v, tries))
+        assert got == list(_steer_candidates_loop(u, v, tries)), (u, v, tries)
 
 
 @given(_units)

@@ -93,6 +93,24 @@ def test_letter_sets():
     assert letters_with_range(5) == (Letter(4, 3), Letter(5, 2), Letter(6, 1))
 
 
+def literal_range_table(r: int) -> tuple[Letter, ...]:
+    """The range table as ``letters_with_range`` spelled it out before it
+    was read off the domain table; the oracle for it."""
+    if r == 1:
+        return (Letter(1, 2), Letter(2, 1))
+    return (Letter(r - 1, 3), Letter(r, 2), Letter(r + 1, 1))
+
+
+def test_range_table_is_read_off_the_domain_table():
+    for r in range(1, 41):
+        got = letters_with_range(r)
+        assert got == literal_range_table(r)
+        # the very letter objects of the domain table, not equal copies
+        for lt in got:
+            assert lt.range_index == r
+            assert any(lt is other for other in letters_with_domain(lt.ell))
+
+
 def test_admissibility_examples():
     assert is_admissible((Letter(1, 2), Letter(1, 3), Letter(2, 2)))
     assert not is_admissible((Letter(1, 3), Letter(1, 2)))

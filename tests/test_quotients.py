@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,6 +509,18 @@ def test_fan_model_invariants():
         FanModel(legs, (Gluing(0, 0),))
     with pytest.raises(ValueError):
         FanModel(legs, (Gluing(0, 1), Gluing(0, 1)))
+
+
+def test_fan_records_copy_and_pickle():
+    # the fan model holds its legs, so it deep-copies and pickles with them
+    fan = build_fan(AParam((1,)), 4, 3)
+    for record in (fan.legs[-1], fan.gluings[0], fan):
+        for twin in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert twin == record and type(twin) is type(record)
 
 
 def test_identity_address_is_stay_cylinder():
