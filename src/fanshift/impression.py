@@ -14,12 +14,17 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
-from itertools import groupby, islice
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import PathNotFound, ResourceCapExceeded
-from .itinerary import Letter, Word, iter_words, letters_with_domain
+from .itinerary import (
+    ENUMERATION_CAP,
+    Letter,
+    Word,
+    count_words_recurrence,
+    iter_words,
+    letters_with_domain,
+)
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -38,7 +43,8 @@ TRIES = 600
 # exponent steps (doublings, third-roots) of the two bending letters: the
 # square on interval 2 and the cube root on interval 1; every other letter
 # only translates
-_BENDS = {Letter(2, 2): (1, 0), Letter(1, 2): (0, 1)}
+_SQUARE, _ROOT = Letter(2, 2), Letter(1, 2)
+_BENDS = {_SQUARE: (1, 0), _ROOT: (0, 1)}
 
 
 def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
@@ -275,6 +281,16 @@ def build_net(eps: float, cfg: WindowConfig, *, u_cells: int = 12) -> list[MPoin
     k_cut = orbit_k_cut(eps, n)
     if u_cells < 1:
         raise ValueError(f"u_cells must be >= 1, got {u_cells}")
+    # a window word is a left walk of n letters into interval k joined to a
+    # right walk of n letters out of k; the letter graph is symmetric, so
+    # the two walks count alike, and the net is sized before it is built
+    words = sum(count_words_recurrence(k, n)[-1] ** 2 for k in range(1, k_cut + 1))
+    size = words * (u_cells + 1) + 1
+    if size > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"{size} net points (eps={eps}, window={n}, u_cells={u_cells}) "
+            f"exceed cap {ENUMERATION_CAP}"
+        )
     net: list[MPoint] = []
     for k in range(1, k_cut + 1):
         for word in iter_words(k, 2 * n, start=-n):
@@ -302,29 +318,63 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
     Powers within INTERIOR_GUARD of 0 or 1 are skipped so the orbit stays
     strictly inside the fiber and later connectors can keep steering.  For
     0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_exponents()``,
-    so bisection finds both guard limits and the crossing of v_target; the
-    distance grows walking outward from the crossing on either side, so the
-    two sides merge by distance, and each run of equal distances is yielded
-    in (m + n, m, n) order.
+    so the interior powers fill one run of the table, and the crossing of
+    v_target, clamped into that run, is the first index whose power is at
+    most the clamped target: it is guessed from logarithms and settled by
+    exact power comparisons.  The distance grows walking outward from the
+    crossing on either side, so two indices walk the two sides outward in
+    step, each stopping where the powers leave the interior, and each run
+    of equal distances is yielded in (m + n, m, n) order.
     """
-    from heapq import merge  # only orbit steering loads heapq
-
+    if not 0.0 < u_cur < 1.0:
+        return  # every power of 0 or 1 is an endpoint
     exps = _exponents()
+    size = len(exps)
+    # a power below 1 - INTERIOR_GUARD is at most the float just below it
+    bound = min(max(v_target, INTERIOR_GUARD), math.nextafter(1.0 - INTERIOR_GUARD, 0))
+    mid = bisect.bisect_left(exps, (math.log(bound) / math.log(u_cur),))
+    while mid > 0 and u_cur ** exps[mid - 1][0] <= bound:
+        mid -= 1
+    while mid < size and u_cur ** exps[mid][0] > bound:
+        mid += 1
 
-    def neg_power(entry: tuple[float, int, int]) -> float:
-        return -(u_cur ** entry[0])
+    def gap(i: int) -> float:
+        if 0 <= i < size:
+            power = u_cur ** exps[i][0]
+            if INTERIOR_GUARD < power < 1.0 - INTERIOR_GUARD:
+                return abs(power - v_target)
+        return math.inf
 
-    lo = bisect.bisect_right(exps, -(1.0 - INTERIOR_GUARD), key=neg_power)
-    hi = bisect.bisect_left(exps, -INTERIOR_GUARD, lo, key=neg_power)
-    mid = bisect.bisect_left(exps, -v_target, lo, hi, key=neg_power)
+    left, right = mid - 1, mid
+    d_left, d_right = gap(left), gap(right)
+    while tries > 0 and min(d_left, d_right) < math.inf:
+        d = min(d_left, d_right)
+        run = []
+        while d_left == d:
+            run.append(exps[left])
+            left -= 1
+            d_left = gap(left)
+        while d_right == d:
+            run.append(exps[right])
+            right += 1
+            d_right = gap(right)
+        if len(run) > 1:
+            run.sort(key=lambda entry: (entry[1] + entry[2], entry[1], entry[2]))
+        for _, m, n in run[:tries]:
+            yield m, n
+        tries -= len(run)
 
-    def gapped(side):
-        return ((abs(u_cur**e - v_target), m, n) for e, m, n in side)
 
-    outward = merge(gapped(reversed(exps[lo:mid])), gapped(exps[mid:hi]))
-    runs = groupby(outward, key=itemgetter(0))
-    ranked = (sorted((m + n, m, n) for _, m, n in run) for _, run in runs)
-    yield from islice(((m, n) for run in ranked for _, m, n in run), tries)
+def _bend(u: float, m: int, n_steps: int) -> float:
+    """Carry u through a connector of ``n_steps`` cube roots and ``m``
+    squares: its other letters only translate, so only the two bend
+    letters' pieces move the coordinate, in the connector's order."""
+    root, square = _ROOT.piece, _SQUARE.piece
+    for _ in range(n_steps):
+        u = root(u)
+    for _ in range(m):
+        u = square(u)
+    return u
 
 
 def transitive_orbit_builder(
@@ -353,16 +403,16 @@ def transitive_orbit_builder(
     letters: list[Letter] = []
     visits: list[Visit] = []
 
-    def visit(oi: int, time: int, u: float) -> bool:
-        """Record a visit to net element ``oi`` at orbit ``time``, where the
-        coordinate is ``u``, if the window there lies within the target."""
+    def visit(oi: int, run: tuple[Letter, ...], u: float) -> bool:
+        """Record a visit to net element ``oi`` at the orbit time where the
+        orbit's last 2N letters are ``run`` and the coordinate is ``u``, if
+        the window there lies within the target."""
         # a run of the orbit word, which is checked whole once it is built
-        sl = Word._trusted(tuple(letters[time : time + 2 * n]), -n)
-        p = MPoint(sl, XPoint(letters[time + n].domain_index, u))
-        d = dist_window(p, net[oi], cfg)
+        x = XPoint(run[n].domain_index, u)
+        d = dist_window(MPoint._trusted(Word._trusted(run, -n), x), net[oi], cfg)
         if d > target:
             return False
-        visits.append(Visit(oi, time, d))
+        visits.append(Visit(oi, len(letters) - 2 * n, d))
         return True
 
     # the orbit must start from a finite element; infinity elements are
@@ -378,7 +428,7 @@ def transitive_orbit_builder(
     u_base = _walk(u_left, central[:n], inverse=False)
     u_end = _walk(u_base, central[n:], inverse=False)
     letters.extend(central)
-    if not visit(order[0], 0, u_base):
+    if not visit(order[0], central, u_base):
         raise PathNotFound("seed element not matched; refine the height grid")
 
     for oi in order[1:]:
@@ -391,33 +441,34 @@ def transitive_orbit_builder(
             k_vis = 3
             while 2.0 ** (2 - 2 * k_vis) > target:
                 k_vis += 1
-            climb = _navigate(k_cur, k_vis)
-            block = len(letters) + len(climb)
-            letters.extend(climb + [letters_with_domain(k_vis)[1]] * (2 * n))
-            # the identity block covers orbit transitions block-n..block+n-1,
-            # so the visited window is centered at orbit time ``block``; the
-            # climb and the block only translate, so u_end is the coordinate
+            block = (letters_with_domain(k_vis)[1],) * (2 * n)
+            letters += _navigate(k_cur, k_vis)
+            letters += block
+            # the climb and the identity block only translate, so u_end is
+            # the coordinate at the block's center
             if not visit(oi, block, u_end):
                 raise PathNotFound("infinity element not matched; raise k_vis")
             continue
 
-        word = elem.word
-        central = list(word.slice(-n, n - 1).letters)
-        d_left = word.domain_at(-n)
-        v_target = _walk(elem.t0.u, central[:n], inverse=True)
+        central = elem.word.slice(-n, n - 1).letters
+        left, right = central[:n], central[n:]
+        d_left = central[0].domain_index
+        v_target = _walk(elem.t0.u, left, inverse=True)
         size = len(letters)
         tried = 0
         candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
-            conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            # the element's letters center the visit at time size + len(conn);
-            # an exact endpoint would pin every later coordinate there, so
-            # only an interior candidate is appended, and taken back on a miss
-            u_mid = _walk(u_end, conn + central[:n], inverse=False)
-            u_next = _walk(u_mid, central[n:], inverse=False)
+            # the connector _navigate(k_cur, 1) + witness_path(...) moves the
+            # coordinate only at its bends; an exact endpoint would pin every
+            # later coordinate there, so only an interior candidate is built
+            # and appended, and taken back on a miss
+            u_mid = _walk(_bend(u_end, m, n_steps), left, inverse=False)
+            u_next = _walk(u_mid, right, inverse=False)
             if 0.0 < u_next < 1.0:
-                letters.extend(conn + central)
-                if visit(oi, size + len(conn), u_mid):
+                letters += _navigate(k_cur, 1)
+                letters += witness_path(m, n_steps, d_left)
+                letters += central
+                if visit(oi, central, u_mid):
                     u_end = u_next
                     break
                 del letters[size:]
@@ -446,14 +497,17 @@ def verify_orbit(result: OrbitResult) -> dict:
     eps, cfg = result.eps, result.cfg
     n = cfg.half_width
     p = result.point
-    inside = [v for v in result.visits if p.lo + n <= v.time <= p.hi + 1 - n]
+    letters, start = p.word.letters, p.word.start
+    stop = start + len(letters)
+    inside = [v for v in result.visits if start + n <= v.time <= stop - n]
     coord = _coords_at(p, {v.time for v in inside})
     worst = worst_fwd = 0.0
     seen = set()
     for v in inside:
-        sl = p.word.slice(v.time - n, v.time + n - 1)
-        x = XPoint(p.word.domain_at(v.time), coord[v.time])
-        window = MPoint(Word._trusted(sl.letters, -n), x)
+        # the window is a run of the point's word around the visit time
+        i = v.time - start
+        x = XPoint(letters[i].domain_index, coord[v.time])
+        window = MPoint._trusted(Word._trusted(letters[i - n : i + n], -n), x)
         d, f = _window_dists(window, result.net[v.net_index], cfg)
         worst = max(worst, d)
         worst_fwd = max(worst_fwd, f)

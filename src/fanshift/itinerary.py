@@ -86,8 +86,12 @@ def letters_with_range(r: int) -> tuple[Letter, ...]:
 
 def is_admissible(letters: Sequence[Letter]) -> bool:
     """Consecutive letters must chain: range of one equals domain of next."""
-    nxt = islice(letters, 1, None)
-    return all(a.range_index == b.domain_index for a, b in zip(letters, nxt))
+    # a plain loop: its slot reads are specialized, so on CPython 3.11 it
+    # beats both a generator and C maps of attrgetter on a long orbit word
+    for a, b in zip(letters, islice(letters, 1, None)):
+        if a.range_index != b.domain_index:
+            return False
+    return True
 
 
 class Word(_Frozen):

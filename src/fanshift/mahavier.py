@@ -58,6 +58,16 @@ class MPoint(_Frozen):
         _set(self, "word", word)
         _set(self, "t0", t0)
 
+    @classmethod
+    def _trusted(cls, word: Word, t0: XPoint) -> "MPoint":
+        """A finite-window point whose word is known to contain transition
+        0 with the base's interval there, e.g. a window of an orbit word;
+        skips the checks of ``__init__``."""
+        p = object.__new__(cls)
+        _set(p, "word", word)
+        _set(p, "t0", t0)
+        return p
+
     @property
     def is_all_infinity(self) -> bool:
         return self.word is None
@@ -104,17 +114,20 @@ def _local_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
     """Interval indices, read off the letters, and local coordinates lo..hi
     of a finite-window point, from one walk outward from the base: forward
     through positions 0..hi-1 and backward through -1..lo."""
-    if lo < p.lo or hi > p.hi + 1 or lo > hi:
+    # the word's fields are read directly: this runs once per window measured
+    letters, base = p.word.letters, -p.word.start
+    if lo > hi or base + lo < 0 or base + hi > len(letters):
         raise IndexError("requested coordinates outside window")
-    letters, base, first = p.word.letters, -p.word.start, min(lo, 0)
+    first = min(lo, 0)
     trace = [p.t0.u]
     for lt in reversed(letters[base + first : base]):
         trace.append(lt.piece(trace[-1], inverse=True))
     trace.reverse()
     for lt in letters[base : base + hi]:
         trace.append(lt.piece(trace[-1]))
-    ks = [lt.domain_index for lt in letters[base + lo : base + hi]]
-    ks.append(p.word.domain_at(hi))
+    ks = [lt.domain_index for lt in letters[base + lo : base + hi + 1]]
+    if len(ks) == hi - lo:  # the coordinate past the last letter is in its range
+        ks.append(letters[-1].range_index)
     return ks, trace[lo - first : hi - first + 1]
 
 
@@ -169,13 +182,13 @@ def _window_chart(p: MPoint, n: int) -> list[float]:
     """Chart images ``embed(coords(p, j))`` of coordinates -n..n, computed
     on floats: the local trace goes through the chart without building an
     ``XPoint``."""
-    if p.is_all_infinity:
+    if p.word is None:
         return [1.0] * (2 * n + 1)
     ks, us = _local_trace(p, -n, n)
     for u in us:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"local coordinate {u!r} outside [0, 1]")
-    return [_chart(k, u) for k, u in zip(ks, us)]
+    return list(map(_chart, ks, us))
 
 
 def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float]:

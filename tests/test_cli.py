@@ -309,6 +309,31 @@ def test_failure_report_keeps_its_parameters(tmp_path):
     assert report["params"] == {"eps": 0.0625, "window": 2, "u_cells": 12, "seed": 0}
 
 
+@pytest.mark.parametrize("window", [6, 8, 40])
+def test_orbit_refuses_an_oversized_net_before_building_it(window, tmp_path):
+    # the net is sized before any point is built: window 6 would hold
+    # 22,024,393 points, and window 40 would never finish enumerating
+    report_path = tmp_path / "orbit.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["verify", "orbit", "--window", str(window), "--report", str(report_path)]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanshift.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1
+    assert elapsed < 2.0
+    report = json.loads(report_path.read_text())
+    assert report["params"] == {"eps": 0.125, "window": window, "u_cells": 12, "seed": 0}
+    (witness,) = report["witnesses"]
+    assert witness["error"] == "ResourceCapExceeded"
+    assert witness["message"].endswith(
+        f"net points (eps=0.125, window={window}, u_cells=12) exceed cap "
+        f"{itinerary.ENUMERATION_CAP}"
+    )
+
+
 def test_cantor_cap_failure_report(tmp_path):
     # depth 30 through interval 1 needs far more than the 4,000,000-word cap
     report_path = tmp_path / "cantor.json"

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fanshift import impression
-from fanshift.errors import PathNotFound
+from fanshift.errors import PathNotFound, ResourceCapExceeded
 from fanshift.impression import (
     INTERIOR_GUARD,
     Visit,
+    _bend,
     _exponents,
+    _navigate,
     _steer_candidates,
     build_net,
     default_k_cut,
@@ -24,11 +26,19 @@ from fanshift.impression import (
     verify_orbit,
     witness_path,
 )
-from fanshift.itinerary import Letter, Word, is_admissible
+from fanshift.itinerary import (
+    ENUMERATION_CAP,
+    Letter,
+    Word,
+    count_words_recurrence,
+    is_admissible,
+    iter_words,
+)
 from fanshift.mahavier import (
     MPoint,
     WindowConfig,
     _local_trace,
+    _walk,
     _window_dists,
     coord_range,
     dist_window,
@@ -221,6 +231,42 @@ def test_net_contains_infinity_element():
     net = build_net(0.25, WindowConfig(1), u_cells=4)
     assert net[-1].is_all_infinity
     assert all(p.word.domain_at(0) <= orbit_k_cut(0.25, 1) for p in net[:-1])
+
+
+@pytest.mark.parametrize("half_width", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_window_words_count_as_a_squared_walk_count(k, half_width):
+    # a window word is a left walk of N letters into k and a right walk of
+    # N letters out of k, and the two count alike on the letter graph
+    words = sum(1 for _ in iter_words(k, 2 * half_width, start=-half_width))
+    assert words == count_words_recurrence(k, half_width)[-1] ** 2
+
+
+@pytest.mark.parametrize(
+    "eps, half_width, u_cells, size",
+    [(0.25, 1, 4, 66), (0.125, 2, 12, 2211), (0.3, 3, 7, 10633)],
+)
+def test_net_has_the_counted_size(eps, half_width, u_cells, size):
+    k_cut = orbit_k_cut(eps, half_width)
+    walks = [count_words_recurrence(k, half_width)[-1] for k in range(1, k_cut + 1)]
+    assert sum(w * w for w in walks) * (u_cells + 1) + 1 == size
+    assert len(build_net(eps, WindowConfig(half_width), u_cells=u_cells)) == size
+
+
+def test_net_size_is_capped_before_any_word_is_built(monkeypatch):
+    # window 5 at eps 1/8 asks for 1,830,518 points; window 4 still fits
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was enumerated")
+
+    monkeypatch.setattr(impression, "iter_words", refuse)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        build_net(0.125, WindowConfig(5))
+    assert str(exc.value) == (
+        f"1830518 net points (eps=0.125, window=5, u_cells=12) exceed cap "
+        f"{ENUMERATION_CAP}"
+    )
+    with pytest.raises(AssertionError, match="enumerated"):
+        build_net(0.125, WindowConfig(4))
 
 
 def test_single_element_net_orbit():
@@ -487,6 +533,29 @@ def test_orbit_measures_each_visit_once(
         assert _window_dists(w, res.net[v.net_index], cfg)[0] == v.dist
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_bend_walk_equals_the_walk_over_the_whole_connector(seed):
+    # every letter of a connector but its cube roots and squares only
+    # translates, so its bends alone carry a coordinate bit for bit as the
+    # walk over all of _navigate(k_cur, 1) + witness_path(m, n, d_left) does
+    r = random.Random(seed)
+    units = (
+        r.uniform(0.0, 1e-12),
+        r.uniform(1e-300, 1e-280),
+        1.0 - r.uniform(0.0, 1e-12),
+        1.0 - 2.0**-53,
+        2.0**-20,
+        r.random(),
+    )
+    for u in units:
+        for _ in range(60):
+            m, n_steps = r.randint(0, 60), r.randint(0, 60)
+            k_cur, d_left = r.randint(1, 9), r.randint(1, 9)
+            conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
+            full = _walk(u, conn, inverse=False)
+            assert _bend(u, m, n_steps).hex() == full.hex(), (u, m, n_steps)
+
+
 def test_orbit_unmatched_seed_element_raises():
     # the first element sits at height 0, the seed is clamped to 2^-20, so
     # at eps 1e-9 the seed visit misses before any connector is tried
@@ -558,6 +627,13 @@ def test_steer_candidates_edge_cases(u_cur, v_target, tries):
     got = list(_steer_candidates(u_cur, v_target, tries))
     assert got == _ranked_reference(u_cur, v_target, tries)
     assert len(got) == tries
+
+
+@pytest.mark.parametrize("u_cur", [0.0, 1.0])
+def test_steer_candidates_yield_nothing_from_an_endpoint(u_cur):
+    # every power of an endpoint is that endpoint, outside the guard band
+    assert list(_steer_candidates(u_cur, 0.5, 600)) == []
+    assert _ranked_reference(u_cur, 0.5, 600) == []
 
 
 def test_steer_candidates_sort_equal_distances():

@@ -117,6 +117,23 @@ def test_admissibility_examples():
     assert is_admissible((Letter(3, 1), Letter(2, 1), Letter(1, 2)))
 
 
+def test_admissibility_catches_a_long_word_broken_at_its_last_link():
+    # 100,000 letters that chain, then a final letter whose domain is not
+    # the range before it: only the last pair breaks the word
+    r = rng(5)
+    chain = [Letter(3, 2)]
+    for _ in range(99_999):
+        chain.append(r.choice(letters_with_domain(chain[-1].range_index)))
+    assert is_admissible(chain) and is_admissible(tuple(chain))
+    last = chain[-1].range_index
+    bad = Letter(last + 1, 1)
+    assert bad.domain_index != last
+    assert not is_admissible(chain + [bad])
+    assert is_admissible(chain + [letters_with_domain(last)[0]])
+    with pytest.raises(ValueError, match="do not chain"):
+        Word(tuple(chain) + (bad,))
+
+
 def test_admissibility_matches_literal_case_table():
     r = rng(0)
     for _ in range(100_000):
