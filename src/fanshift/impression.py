@@ -30,7 +30,7 @@ from .mahavier import (
     MPoint,
     WindowConfig,
     _coords_at,
-    _walk,
+    _steps,
     _window_dists,
     dist_window,
 )
@@ -43,8 +43,7 @@ TRIES = 600
 # exponent steps (doublings, third-roots) of the two bending letters: the
 # square on interval 2 and the cube root on interval 1; every other letter
 # only translates
-_SQUARE, _ROOT = Letter(2, 2), Letter(1, 2)
-_BENDS = {_SQUARE: (1, 0), _ROOT: (0, 1)}
+_BENDS = {Letter(2, 2): (1, 0), Letter(1, 2): (0, 1)}
 
 
 def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
@@ -153,6 +152,12 @@ def symbolic_family(
     for name, value, least in box:
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    size = (m_max + 1) * (n_max + 1) * k_max
+    if size > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"{size} symbolic points (m_max={m_max}, n_max={n_max}, "
+            f"k_max={k_max}) exceed cap {ENUMERATION_CAP}"
+        )
     out = []
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):
@@ -194,6 +199,18 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
     _check_eps(eps)
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
+    # the net is sized before it is walked: 2^(2-2k) / eps is interval k's
+    # diameter over eps/2, clamped so that its ceiling stays finite
+    cells = [
+        max(1, math.ceil(min(2.0 ** (2 - 2 * k) / eps, ENUMERATION_CAP)))
+        for k in range(1, min(k_cut, ENUMERATION_CAP) + 1)
+    ]
+    size = sum(cells) + k_cut + 1
+    if size > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"at least {size} net points (eps={eps}, k_cut={k_cut}) "
+            f"exceed cap {ENUMERATION_CAP}"
+        )
     embeds = sorted(embed(p) for p in points)
     if not embeds:
         raise ValueError("need a nonempty sample set")
@@ -208,22 +225,18 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
         return best
 
     uncovered = []
-    net_size = 0
-    for k in range(1, k_cut + 1):
+    for k, n_cells in enumerate(cells, 1):
         lo = 1.0 - 2.0 ** (2 - 2 * k)
         diam = 2.0 ** (1 - 2 * k)
-        cells = max(1, math.ceil(diam / (eps / 2.0)))
-        for i in range(cells + 1):
-            e = lo + diam * i / cells
-            net_size += 1
+        for i in range(n_cells + 1):
+            e = lo + diam * i / n_cells
             d = min_dist(e)
             if d > eps:
                 uncovered.append({"k": k, "embed": e, "min_dist": d})
-    net_size += 1
     d = min_dist(1.0)
     if d > eps:
         uncovered.append({"k": None, "embed": 1.0, "min_dist": d})
-    return DensityReport(not uncovered, eps, k_cut, net_size, uncovered)
+    return DensityReport(not uncovered, eps, k_cut, size, uncovered)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +378,6 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
         tries -= len(run)
 
 
-def _bend(u: float, m: int, n_steps: int) -> float:
-    """Carry u through a connector of ``n_steps`` cube roots and ``m``
-    squares: its other letters only translate, so only the two bend
-    letters' pieces move the coordinate, in the connector's order."""
-    root, square = _ROOT.piece, _SQUARE.piece
-    for _ in range(n_steps):
-        u = root(u)
-    for _ in range(m):
-        u = square(u)
-    return u
-
-
 def transitive_orbit_builder(
     eps: float, cfg: WindowConfig, *, net: list[MPoint] | None = None
 ) -> OrbitResult:
@@ -424,9 +425,9 @@ def transitive_orbit_builder(
     seed_elem = net[order[0]]
     u_seed = min(1.0 - 2.0**-20, max(2.0**-20, seed_elem.t0.u))
     central = seed_elem.word.slice(-n, n - 1).letters
-    u_left = _walk(u_seed, central[:n], inverse=True)
-    u_base = _walk(u_left, central[:n], inverse=False)
-    u_end = _walk(u_base, central[n:], inverse=False)
+    u_left = _steps(u_seed, central[:n], inverse=True)[-1]
+    trace = _steps(u_left, central, inverse=False)
+    u_base, u_end = trace[-1 - n], trace[-1]
     letters.extend(central)
     if not visit(order[0], central, u_base):
         raise PathNotFound("seed element not matched; refine the height grid")
@@ -451,23 +452,20 @@ def transitive_orbit_builder(
             continue
 
         central = elem.word.slice(-n, n - 1).letters
-        left, right = central[:n], central[n:]
         d_left = central[0].domain_index
-        v_target = _walk(elem.t0.u, left, inverse=True)
+        v_target = _steps(elem.t0.u, central[:n], inverse=True)[-1]
         size = len(letters)
         tried = 0
         candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
-            # the connector _navigate(k_cur, 1) + witness_path(...) moves the
-            # coordinate only at its bends; an exact endpoint would pin every
-            # later coordinate there, so only an interior candidate is built
-            # and appended, and taken back on a miss
-            u_mid = _walk(_bend(u_end, m, n_steps), left, inverse=False)
-            u_next = _walk(u_mid, right, inverse=False)
+            # an exact endpoint would pin every later coordinate there, so
+            # only a candidate that stays interior is appended, and it is
+            # taken back on a miss
+            run = _navigate(k_cur, 1) + [*witness_path(m, n_steps, d_left), *central]
+            trace = _steps(u_end, run, inverse=False)
+            u_mid, u_next = trace[-1 - n], trace[-1]
             if 0.0 < u_next < 1.0:
-                letters += _navigate(k_cur, 1)
-                letters += witness_path(m, n_steps, d_left)
-                letters += central
+                letters += run
                 if visit(oi, central, u_mid):
                     u_end = u_next
                     break

@@ -110,6 +110,16 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     return [XPoint(k, u) for k, u in zip(ks, us)]
 
 
+def _steps(u: float, run, *, inverse: bool) -> list[float]:
+    """``u``, then the local coordinate after each letter of the run, or
+    with ``inverse`` after each letter walked back from the run's end: the
+    one walk of a coordinate along letters, which every other goes through."""
+    out = [u]
+    for lt in reversed(run) if inverse else run:
+        out.append(u := lt.piece(u, inverse))
+    return out
+
+
 def _local_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
     """Interval indices, read off the letters, and local coordinates lo..hi
     of a finite-window point, from one walk outward from the base: forward
@@ -119,23 +129,13 @@ def _local_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
     if lo > hi or base + lo < 0 or base + hi > len(letters):
         raise IndexError("requested coordinates outside window")
     first = min(lo, 0)
-    trace = [p.t0.u]
-    for lt in reversed(letters[base + first : base]):
-        trace.append(lt.piece(trace[-1], inverse=True))
+    trace = _steps(p.t0.u, letters[base + first : base], inverse=True)
     trace.reverse()
-    for lt in letters[base : base + hi]:
-        trace.append(lt.piece(trace[-1]))
+    trace += _steps(p.t0.u, letters[base : base + hi], inverse=False)[1:]
     ks = [lt.domain_index for lt in letters[base + lo : base + hi + 1]]
     if len(ks) == hi - lo:  # the coordinate past the last letter is in its range
         ks.append(letters[-1].range_index)
     return ks, trace[lo - first : hi - first + 1]
-
-
-def _walk(u: float, run, *, inverse: bool) -> float:
-    """Carry a local coordinate through a run of letters, or back through it."""
-    for lt in reversed(run) if inverse else run:
-        u = lt.piece(u, inverse)
-    return u
 
 
 def _coords_at(p: MPoint, times) -> dict[int, float]:
@@ -146,7 +146,7 @@ def _coords_at(p: MPoint, times) -> dict[int, float]:
         u, pos = p.t0.u, 0
         for t in sorted((t for t in times if (t >= 0) is ahead), key=abs):
             run = letters[base + min(pos, t) : base + max(pos, t)]
-            out[t] = u = _walk(u, run, inverse=not ahead)
+            out[t] = u = _steps(u, run, inverse=not ahead)[-1]
             pos = t
     return out
 

@@ -201,6 +201,13 @@ def lift_f_R(f: PMap) -> PMap:
     return f_R
 
 
+def _shrinks_to_vertex(gaps: list[float]) -> bool:
+    """Whether distances taken along a sequence tending to the vertex
+    shrink to it: each at most 4 times the one before, the last at most
+    1e-3."""
+    return all(b <= 4.0 * a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 1e-3
+
+
 class HlavnaReport(NamedTuple):
     """Sampled evidence that a lifted map keeps homeomorphism properties;
     its fields are its report form, serialized with ``_asdict()``."""
@@ -251,22 +258,13 @@ def check_hlavna(f: PMap, *, name: str) -> HlavnaReport:
             break
     inj_ok = witness is None
 
-    tail = 0.0
-    prev = math.inf
-    vertex_ok = True
+    norms = []
     for i in range(1, 13):
         addr = "0" * i + "2"
         col = CPoint(addr, 0.0).c
-        worst = 0.0
-        for s in (0.0, 0.5, 1.0):
-            q = f_R(CPoint(addr, col * s))
-            worst = max(worst, q.c, q.t)
-        if worst > prev * 4.0:
-            vertex_ok = False
-        prev = max(worst, 1e-300)
-        tail = worst
-    if tail > 1e-3:
-        vertex_ok = False
+        images = [f_R(CPoint(addr, col * s)) for s in (0.0, 0.5, 1.0)]
+        norms.append(max(0.0, *(v for q in images for v in (q.c, q.t))))
+    tail, vertex_ok = norms[-1], _shrinks_to_vertex(norms)
 
     passed = surj_ok and inj_ok and vertex_ok
     return HlavnaReport(
@@ -336,18 +334,11 @@ def check_conjugated_shift(samples: list[MPoint]) -> dict:
         )
     surj_ok = surj_gap <= ROUNDTRIP_EPS * 10
 
-    tail = 1.0
-    cont_ok = True
-    prev = math.inf
+    gaps = []
     for j in range(3, 14):
         c, t = model_map(shift(diagonal_point(j, 0.5, 4)), 4)
-        gap = max(abs(1.0 - c), abs(t))
-        if gap > prev * 4.0:
-            cont_ok = False
-        prev = gap
-        tail = gap
-    if tail > 1e-3:
-        cont_ok = False
+        gaps.append(max(abs(1.0 - c), abs(t)))
+    tail, cont_ok = gaps[-1], _shrinks_to_vertex(gaps)
 
     return {
         "injectivity_ok": inj_ok,

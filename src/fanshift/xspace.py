@@ -28,7 +28,7 @@ def cbrt(u: float) -> float:
 
 
 # sets an attribute past the read-only guard of ``_Frozen``; only
-# ``__init__`` methods (and trusted constructors) call it
+# ``__init__`` methods, trusted constructors and ``__setstate__`` call it
 _set = object.__setattr__
 
 
@@ -58,6 +58,14 @@ class _Frozen:
         )
 
     __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled value through ``_set``; ``state``
+        is the instance dict of a class without slots, or the pair
+        ``(dict or None, slots)`` of a slotted one."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                _set(self, name, value)
 
 
 class XPoint(_Frozen):

@@ -334,6 +334,54 @@ def test_orbit_refuses_an_oversized_net_before_building_it(window, tmp_path):
     )
 
 
+def _limit_memory():
+    """Cap the child's address space at 1.5 GB, so a command that builds
+    an unbounded structure fails fast instead of filling the machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--eps", "1e-9"],
+            "net points (eps=1e-09, k_cut=16) exceed cap {cap}",
+        ),
+        (
+            ["--eps", "5e-324"],
+            "net points (eps=5e-324, k_cut=538) exceed cap {cap}",
+        ),
+        (
+            ["--m-max", "3000", "--n-max", "3000", "--k-max", "1"],
+            "9006001 symbolic points (m_max=3000, n_max=3000, k_max=1) exceed cap {cap}",
+        ),
+    ],
+)
+def test_impression_refuses_an_oversized_net_or_box_before_building_it(
+    args, message, tmp_path
+):
+    # eps 1e-9 asks for a net of over 10^9 points, the least positive eps
+    # (which halves to 0.0) for a net of no finite size, and the 3001 x 3001
+    # box for 9,006,001 symbolic points: each is sized before it is built
+    report_path = tmp_path / "impression.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["verify", "impression", *args, "--report", str(report_path)]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanshift.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1, proc.stderr
+    assert elapsed < 2.0
+    (witness,) = json.loads(report_path.read_text())["witnesses"]
+    assert witness["error"] == "ResourceCapExceeded"
+    assert witness["message"].endswith(message.format(cap=itinerary.ENUMERATION_CAP))
+
+
 def test_cantor_cap_failure_report(tmp_path):
     # depth 30 through interval 1 needs far more than the 4,000,000-word cap
     report_path = tmp_path / "cantor.json"

@@ -2,9 +2,10 @@
 
 A fresh ``python3 -I`` imports ``fanshift.cli`` and reports its
 ``sys.modules``.  ``dataclasses``, ``fractions``, ``inspect`` (which
-``dataclasses`` pulls in) and ``heapq`` (which only orbit steering imports)
-must be absent, and ``impression`` must not have built its exponent table,
-which only orbit steering reads.  So that the check cannot pass vacuously,
+``dataclasses`` pulls in) and ``heapq`` (which no module imports: orbit
+steering walks its exponent table by index) must be absent, and
+``impression`` must not have built that table, which only orbit steering
+reads.  So that the check cannot pass vacuously,
 modules that the CLI does import must be present, and a run that imports
 ``dataclasses`` before the CLI must be flagged.
 """

@@ -12,9 +12,7 @@ from fanshift.errors import PathNotFound, ResourceCapExceeded
 from fanshift.impression import (
     INTERIOR_GUARD,
     Visit,
-    _bend,
     _exponents,
-    _navigate,
     _steer_candidates,
     build_net,
     default_k_cut,
@@ -38,7 +36,6 @@ from fanshift.mahavier import (
     MPoint,
     WindowConfig,
     _local_trace,
-    _walk,
     _window_dists,
     coord_range,
     dist_window,
@@ -531,29 +528,6 @@ def test_orbit_measures_each_visit_once(
         x = XPoint(p.word.domain_at(v.time), trace[v.time - p.lo])
         w = MPoint(Word(sl.letters, -n), x)
         assert _window_dists(w, res.net[v.net_index], cfg)[0] == v.dist
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_bend_walk_equals_the_walk_over_the_whole_connector(seed):
-    # every letter of a connector but its cube roots and squares only
-    # translates, so its bends alone carry a coordinate bit for bit as the
-    # walk over all of _navigate(k_cur, 1) + witness_path(m, n, d_left) does
-    r = random.Random(seed)
-    units = (
-        r.uniform(0.0, 1e-12),
-        r.uniform(1e-300, 1e-280),
-        1.0 - r.uniform(0.0, 1e-12),
-        1.0 - 2.0**-53,
-        2.0**-20,
-        r.random(),
-    )
-    for u in units:
-        for _ in range(60):
-            m, n_steps = r.randint(0, 60), r.randint(0, 60)
-            k_cur, d_left = r.randint(1, 9), r.randint(1, 9)
-            conn = _navigate(k_cur, 1) + list(witness_path(m, n_steps, d_left))
-            full = _walk(u, conn, inverse=False)
-            assert _bend(u, m, n_steps).hex() == full.hex(), (u, m, n_steps)
 
 
 def test_orbit_unmatched_seed_element_raises():

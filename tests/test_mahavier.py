@@ -10,6 +10,7 @@ from fanshift.mahavier import (
     ALL_INFINITY,
     MPoint,
     WindowConfig,
+    _steps,
     _window_dists,
     coord_range,
     coords,
@@ -86,6 +87,26 @@ def test_coord_range_matches_dict_walk(seed, k, half_width, u):
         for walk in (coord_range, _coord_range_reference):
             with pytest.raises(IndexError):
                 walk(p, lo, hi)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1e-300])),
+)
+@settings(max_examples=100, deadline=None)
+def test_steps_apply_each_letter_in_turn(seed, k, u):
+    # forward: u, then each letter's piece in run order; inverse: u, then
+    # each letter's inverse piece from the run's end back to its start
+    run = random_word(rng(seed), k, left=0, right=8).letters
+    fwd, back = [u], [u]
+    for lt in run:
+        fwd.append(lt.piece(fwd[-1]))
+    for lt in reversed(run):
+        back.append(lt.piece(back[-1], inverse=True))
+    assert _steps(u, run, inverse=False) == fwd
+    assert _steps(u, run, inverse=True) == back
+    assert _steps(u, (), inverse=True) == [u]
 
 
 def test_cube_root_window_coords():

@@ -39,6 +39,7 @@ REASONS = {
     "benchmark": "called by a benchmarks/ job or patched by its tracer",
     "failure": "runs only when a check fails or an input is rejected",
     "waiting": "waits on the transitivity certificate or the star of Cantor fans",
+    "protocol": "a hook of Python's copy and pickle protocols, which no command uses",
 }
 
 # "module.qualname": (reason kind, one line on where it is used)
@@ -58,6 +59,7 @@ ALLOWED = {
     "xspace.XPoint.ambient": ("acceptance", "criterion 5 reads ambient positions"),
     "xspace.dist": ("benchmark", "tracer counter; the chart metric of the tests"),
     "xspace._Frozen.__setattr__": ("failure", "rejects assigning to an immutable value"),
+    "xspace._Frozen.__setstate__": ("protocol", "copy and pickle restore a value"),
 }
 
 SWEEP = r"""

@@ -108,3 +108,53 @@ def test_cbrt_inverts_cubing():
     for _ in range(1000):
         u = r.random()
         assert math.isclose(cbrt(u) ** 3, u, rel_tol=1e-14, abs_tol=1e-300)
+
+
+def _value_samples():
+    """One instance of each value type on ``_Frozen``; the two without
+    slots have their cached properties filled, so their dicts hold more
+    than the fields ``__init__`` sets."""
+    from fanshift.invariants import JumaProfile
+    from fanshift.itinerary import Letter, Word
+    from fanshift.mahavier import ALL_INFINITY, MPoint, WindowConfig
+    from fanshift.quotients import AParam, CPoint, build_fan
+
+    word = Word((Letter(1, 3), Letter(2, 2), Letter(2, 1)), -1)
+    cpoint = CPoint("0202", 0.25)
+    assert cpoint.c > 0
+    fan = build_fan(AParam((1,)), 5, 2)
+    assert fan.guest_indices
+    return [
+        XPoint(3, 0.5),
+        INFINITY,
+        Letter(2, 3),
+        word,
+        MPoint(word, XPoint(2, 0.75)),
+        ALL_INFINITY,
+        WindowConfig(4),
+        AParam((2, 3, 6)),
+        JumaProfile([1, 1, 3]),
+        cpoint,
+        fan,
+    ]
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_value_types_copy_and_pickle(how):
+    import copy
+    import pickle
+
+    round_trip = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    }[how]
+    samples = _value_samples()
+    assert len({type(v) for v in samples}) == 9
+    for value in samples:
+        back = round_trip(value)
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value), value
+        for name in ("k", "word", "extra"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(back, name, None)
