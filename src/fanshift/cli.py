@@ -11,7 +11,7 @@ Usage:
 
 ``COMMANDS`` lists every verify name with its runner and its parameters;
 each parameter's flag, config key, cast and default come from that one
-entry, and ``_RENDER_PARAMS`` does the same per figure.  A flag the command
+entry, and ``figures.FIGURES`` does the same per figure.  A flag the command
 or figure does not read is a usage error.
 
 Exit codes: 0 when a command (and its check) succeeds, 1 when a
@@ -36,7 +36,7 @@ import time
 
 from . import impression, invariants, itinerary, quotients, relations
 from .errors import FanshiftError, NotDistinguished, ResourceCapExceeded
-from .figures import FIGURE_IDS, render_figure
+from .figures import FIGURE_IDS, FIGURES, render_figure
 from .mahavier import (
     WindowConfig,
     diagonal_point,
@@ -53,9 +53,6 @@ from .xspace import XPoint, embed, interval_diameter
 # a parameter is (name, cast, default); a callable default is computed
 # from the values resolved before it
 _SEED = ("seed", int, 0)
-_RENDER_PARAMS = {fig: (("depth", int, None),) for fig in FIGURE_IDS}
-# the gluing parameter is read by the gluing figure only
-_RENDER_PARAMS["glue"] += (("a", AParam.parse, None),)
 
 COMMANDS: dict[str, tuple] = {}
 
@@ -220,6 +217,8 @@ def _run_hlavna(**_):
 
 @_command("quotient", ("a", AParam.parse, AParam((2, 4))), ("samples", int, 1000))
 def _run_quotient(a, samples, seed):
+    if not a:
+        raise ValueError("a must have at least one coordinate")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -305,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="write an SVG figure")
     figures = render.add_subparsers(dest="figure", required=True)
-    for fig, params in _RENDER_PARAMS.items():
+    for fig in FIGURE_IDS:
         cmd = figures.add_parser(fig)
         cmd.add_argument("--out", required=True)
-        _add_params(cmd, params)
+        _add_params(cmd, FIGURES[fig][1])
 
     verify = sub.add_parser("verify", help="run a verification experiment")
     names = verify.add_subparsers(dest="name", required=True)
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "render":
-        params = _RENDER_PARAMS[args.figure]
+        _, params = FIGURES[args.figure]
     else:
         run, params = COMMANDS[args.name]
     # invalid values, unreadable config files and capped renders are usage errors

@@ -13,23 +13,20 @@ class WindowExhausted(FanshiftError):
     """A shift would move past the known transition window."""
 
 
-class HypothesisViolated(FanshiftError):
-    """A supplied map breaks an invariance required for lifting.
-
-    The offending sample is attached as ``witness``.
-    """
+class _Witnessed(FanshiftError):
+    """An error that carries the offending sample as ``witness``."""
 
     def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 
 
-class WellDefinednessError(FanshiftError):
-    """A map does not descend to equivalence classes; carries a witness pair."""
+class HypothesisViolated(_Witnessed):
+    """A supplied map breaks an invariance required for lifting."""
 
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
+
+class WellDefinednessError(_Witnessed):
+    """A map does not descend to equivalence classes; the witness is a pair."""
 
 
 class TruncationError(FanshiftError):

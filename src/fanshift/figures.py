@@ -16,8 +16,6 @@ from .mahavier import chunk_x, fiber_length
 from .quotients import AParam, build_fan, host_bundle
 from .xspace import XPoint, embed
 
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "glue")
-
 
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
@@ -78,7 +76,7 @@ def _cantor_addresses(depth: int) -> list[float]:
     return sorted(address_value("".join(d)) for d in iter_product("02", repeat=depth))
 
 
-def fig_cantor_fan(depth: int) -> str:
+def fig_cantor_fan(depth: int, **_) -> str:
     """Straight legs from one apex to the points of a Cantor-set cross-bar."""
     svg = Svg(1000, 700)
     apex = (500.0, 660.0)
@@ -106,7 +104,7 @@ def fig_dense_endpoint_fan(depth: int, seed: int) -> str:
     return svg.render()
 
 
-def fig_star_of_fans(depth: int) -> str:
+def fig_star_of_fans(depth: int, **_) -> str:
     """Six shrinking fan copies joined at a common apex."""
     svg = Svg(1000, 700)
     apex = (500.0, 360.0)
@@ -126,7 +124,7 @@ def fig_star_of_fans(depth: int) -> str:
     return svg.render()
 
 
-def fig_product_and_wedge(depth: int) -> str:
+def fig_product_and_wedge(depth: int, **_) -> str:
     """Left: Cantor set times interval; right: its vertical compression."""
     svg = Svg(1000, 700)
 
@@ -143,9 +141,10 @@ def fig_product_and_wedge(depth: int) -> str:
     return svg.render()
 
 
-def fig_relation(samples: int) -> str:
+def fig_relation(depth: int, **_) -> str:
     """All six families of the relation drawn in chart coordinates, over
-    intervals 1-7."""
+    intervals 1-7, each curve from 2^depth samples."""
+    samples = _capped(2**depth, "samples")
     svg = Svg(1000, 1000)
 
     def pt(ex, ey):
@@ -192,7 +191,7 @@ def fig_relation(samples: int) -> str:
     return svg.render()
 
 
-def fig_model_space(depth: int) -> str:
+def fig_model_space(depth: int, **_) -> str:
     """Cantor bundles 1-7 of shrinking heights plus the compactification dot."""
     svg = Svg(1000, 700)
 
@@ -209,10 +208,10 @@ def fig_model_space(depth: int) -> str:
     return svg.render()
 
 
-def fig_gluing(a: AParam | None, depth: int) -> str:
+def fig_gluing(a: AParam, depth: int, **_) -> str:
     """Host arcs with their glued guests, one panel per parameter block."""
     if not a:
-        a = AParam((2, 4))
+        raise ValueError("a must have at least one coordinate")
     kmax_bundle = host_bundle(len(a)) + 2 * len(a)
     fan = build_fan(a, kmax_bundle, depth)
     svg = Svg(1000, 700)
@@ -241,28 +240,24 @@ def fig_gluing(a: AParam | None, depth: int) -> str:
     return svg.render()
 
 
-def render_figure(
-    figure_id: str,
-    *,
-    depth: int | None = None,
-    seed: int = 0,
-    a: AParam | None = None,
-) -> str:
-    """Dispatch on figure id; unknown ids and a depth below 1 raise ValueError."""
-    if depth is not None and depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if figure_id == "fig1":
-        return fig_cantor_fan(depth or 6)
-    if figure_id == "fig2":
-        return fig_dense_endpoint_fan(depth or 7, seed)
-    if figure_id == "fig3":
-        return fig_star_of_fans(depth or 5)
-    if figure_id == "fig4":
-        return fig_product_and_wedge(depth or 5)
-    if figure_id == "fig5":
-        return fig_relation(_capped(2 ** (depth or 7), "samples"))
-    if figure_id == "fig6":
-        return fig_model_space(depth or 4)
-    if figure_id == "glue":
-        return fig_gluing(a, depth or 3)
-    raise ValueError(f"unknown figure id {figure_id!r}")
+# a figure is its drawing function and its parameters as (name, cast,
+# default), read by the command line as it reads ``cli.COMMANDS``; every
+# drawing function also takes the seed, and only fig2 reads it
+FIGURES: dict[str, tuple] = {
+    "fig1": (fig_cantor_fan, (("depth", int, 6),)),
+    "fig2": (fig_dense_endpoint_fan, (("depth", int, 7),)),
+    "fig3": (fig_star_of_fans, (("depth", int, 5),)),
+    "fig4": (fig_product_and_wedge, (("depth", int, 5),)),
+    "fig5": (fig_relation, (("depth", int, 7),)),
+    "fig6": (fig_model_space, (("depth", int, 4),)),
+    "glue": (fig_gluing, (("depth", int, 3), ("a", AParam.parse, AParam((2, 4))))),
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
+def render_figure(figure_id: str, **values) -> str:
+    """Draw ``figure_id`` from its resolved parameters and the seed; a depth
+    below 1 raises ValueError."""
+    if values["depth"] < 1:
+        raise ValueError(f"depth must be >= 1, got {values['depth']}")
+    return FIGURES[figure_id][0](**values)

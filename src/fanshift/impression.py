@@ -99,7 +99,7 @@ class SymbolicPoint(NamedTuple):
     (interval 1, coordinate t_base).
     """
 
-    t_base: Fraction
+    t_base: float
     m: int
     n: int
     k: int
@@ -138,15 +138,11 @@ def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
 
 
 def symbolic_family(
-    t_base: Fraction | float, m_max: int, n_max: int, k_max: int
+    t_base: float, m_max: int, n_max: int, k_max: int
 ) -> list[SymbolicPoint]:
-    """Every reachable exponent point in the (m, n, k) box, with witnesses."""
-    from fractions import Fraction  # only this command reads exact fractions
-
-    t = Fraction(t_base).limit_denominator(10**12) if not isinstance(
-        t_base, Fraction
-    ) else t_base
-    if not 0 < t < 1:
+    """Every reachable exponent point in the (m, n, k) box, with witnesses;
+    each point keeps ``t_base`` as given."""
+    if not 0 < t_base < 1:
         raise ValueError("seed coordinate must lie strictly between 0 and 1")
     box = (("m_max", m_max, 0), ("n_max", n_max, 0), ("k_max", k_max, 1))
     for name, value, least in box:
@@ -162,7 +158,7 @@ def symbolic_family(
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):
             for n in range(n_max + 1):
-                out.append(SymbolicPoint(t, m, n, k, witness_path(m, n, k)))
+                out.append(SymbolicPoint(t_base, m, n, k, witness_path(m, n, k)))
     return out
 
 

@@ -154,39 +154,38 @@ def iter_words(k: int, n: int, *, start: int = 0) -> Iterator[Word]:
 
     Words span transitions start..start+n-1 and position 0 must lie in
     that span.  Enumeration order is canonical: letters are chosen in
-    (ell, j) order rightward from position 0, then leftward.  More than
-    ``ENUMERATION_CAP`` words raise.
+    (ell, j) order rightward from position 0, then leftward.  A word is a
+    right walk out of k joined to a left walk into k, and the letter graph
+    is symmetric, so the two walks count alike: more than
+    ``ENUMERATION_CAP`` words raise before any is walked.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     if not (start <= 0 < start + n):
         raise ValueError("position 0 must lie inside the word span")
-    produced = 0
-    n_right = start + n  # letters at positions 0..n_right-1; always >= 1
-
-    def grow_left(chain: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
-        if len(chain) == n:
-            yield chain
-            return
-        for lt in letters_with_range(chain[0].domain_index):
-            yield from grow_left((lt,) + chain)
-
-    def grow_right(chain: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
-        if len(chain) == n_right:
-            yield from grow_left(chain)
-            return
-        for lt in letters_with_domain(chain[-1].range_index):
-            yield from grow_right(chain + (lt,))
-
-    for root in letters_with_domain(k):
-        for chain in grow_right((root,)):
-            produced += 1
-            if produced > ENUMERATION_CAP:
-                raise ResourceCapExceeded(
-                    f"enumeration of words (k={k}, n={n}) exceeded cap "
-                    f"{ENUMERATION_CAP}"
-                )
-            yield Word(chain, start)
+    size = count_words_recurrence(k, start + n)[-1]
+    if start:
+        size *= count_words_recurrence(k, -start)[-1]
+    if size > ENUMERATION_CAP:
+        raise ResourceCapExceeded(
+            f"enumeration of words (k={k}, n={n}) exceeded cap {ENUMERATION_CAP}"
+        )
+    right = left = [((), k)]
+    for _ in range(start + n):
+        right = [
+            (chain + (lt,), lt.range_index)
+            for chain, r in right
+            for lt in letters_with_domain(r)
+        ]
+    for _ in range(-start):
+        left = [
+            ((lt,) + chain, lt.domain_index)
+            for chain, d in left
+            for lt in letters_with_range(d)
+        ]
+    for chain, _ in right:
+        for head, _ in left:
+            yield Word._trusted(head + chain, start)
 
 
 def _walks(k: int, n: int, succ) -> Iterator[dict[int, int]]:

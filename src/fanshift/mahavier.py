@@ -200,7 +200,7 @@ def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float
     """
     n = cfg.half_width
     gaps = [
-        abs(b - a) / 2.0 ** abs(j)
+        abs(b - a) * 2.0 ** -abs(j)
         for j, a, b in zip(range(-n, n + 1), _window_chart(p, n), _window_chart(q, n))
     ]
     return max(0.0, *gaps), max(0.0, *gaps[n:])

@@ -108,6 +108,7 @@ def test_usage_error_exit_code(capsys):
     "argv",
     [
         ["verify", "quotient", "--a", "1,5"],
+        ["verify", "quotient", "--a", ","],
         ["verify", "juma", "--depth", "0"],
         ["verify", "orbit", "--window", "0"],
         ["verify", "decomposition", "--config", "{bad_config}"],
@@ -117,6 +118,7 @@ def test_usage_error_exit_code(capsys):
         ["verify", "cantor", "--kmax", "0"],
         ["verify", "hlavna", "--kmax", "3"],
         ["render", "glue", "--out", "{svg}", "--a", "1,5"],
+        ["render", "glue", "--out", "{svg}", "--a", ","],
         # only the gluing figure reads --a
         *(
             ["render", fig, "--a", "1,3", "--out", "{svg}"]
@@ -183,6 +185,9 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "impression", "--m-max", "-1"], None, "m_max must be >= 0"),
         (["verify", "impression", "--n-max", "-1"], None, "n_max must be >= 0"),
         (["verify", "impression", "--k-max", "0"], None, "k_max must be >= 1"),
+        (["verify", "quotient", "--a", ","], None, "a must have at least one coordinate"),
+        (["render", "glue", "--out", "{nodir}.svg", "--a", ","], None,
+         "a must have at least one coordinate"),
     ],
     ids=[
         "report-path",
@@ -216,6 +221,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "impression-m-max-neg",
         "impression-n-max-neg",
         "impression-k-max-0",
+        "quotient-a-empty",
+        "glue-a-empty",
     ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):
@@ -332,6 +339,23 @@ def test_orbit_refuses_an_oversized_net_before_building_it(window, tmp_path):
         f"net points (eps=0.125, window={window}, u_cells=12) exceed cap "
         f"{itinerary.ENUMERATION_CAP}"
     )
+
+
+def test_diam_weighs_a_window_past_the_float_exponent(tmp_path):
+    # from |j| = 1024 on, 2.0 ** |j| overflows; the weight 2.0 ** -|j| does
+    # not, so the window's far coordinates weigh 0 instead of raising
+    report_path = tmp_path / "diam.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["verify", "diam", "--window", "1100", "--samples", "1", "--kmax", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanshift.cli", *argv, "--report", str(report_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(report_path.read_text())
+    assert report["params"]["window"] == 1100
+    assert set(report["extra"]["worst_slice_dist"]) == {"1"}
 
 
 def _limit_memory():

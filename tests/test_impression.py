@@ -152,6 +152,15 @@ def test_symbolic_family_seed_and_values():
     assert base.path == ()
 
 
+def test_symbolic_family_keeps_its_seed_as_given():
+    # 0.1 is no fraction with a small denominator, and it is not rounded
+    # to one on the way in
+    fam = symbolic_family(0.1, 1, 1, 1)
+    assert all(sp.t_base == 0.1 and type(sp.t_base) is float for sp in fam)
+    base = next(sp for sp in fam if (sp.m, sp.n) == (0, 0))
+    assert base.value == 0.1
+
+
 def test_symbolic_point_one_cube_root():
     sp = next(
         s for s in symbolic_family(Fraction(1, 8), 0, 1, 1) if (s.m, s.n) == (0, 1)

@@ -223,6 +223,33 @@ def test_two_sided_enumeration():
         assert w.domain_at(0) == 1
 
 
+def test_two_sided_enumeration_is_sized_before_it_walks(monkeypatch):
+    # 5 right walks out of interval 1 times 5 left walks into it
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 24)
+    words = iter_words(1, 4, start=-2)
+    with pytest.raises(ResourceCapExceeded, match="exceeded cap 24"):
+        next(words)
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 25)
+    assert len(list(iter_words(1, 4, start=-2))) == 25
+
+
+@pytest.mark.parametrize("k, n, start", [(1, 5, -2), (2, 4, 0), (3, 5, -4), (4, 3, -1)])
+def test_enumeration_order_is_canonical(k, n, start):
+    # right letters in (ell, j) order from position 0, then left letters
+    # from position -1 outward
+    def key(w):
+        right, left = w.letters[-start:], w.letters[:-start][::-1]
+        return [(lt.ell, lt.j) for lt in right], [(lt.ell, lt.j) for lt in left]
+
+    words = list(iter_words(k, n, start=start))
+    assert len(set(words)) == len(words) == (
+        count_words_recurrence(k, n + start)[-1]
+        * (count_words_recurrence(k, -start)[-1] if start else 1)
+    )
+    assert words == sorted(words, key=key)
+    assert all(is_admissible(w.letters) for w in words)
+
+
 def test_certificate_small():
     cert = cantor_certificate(1, 8)
     assert cert.passed

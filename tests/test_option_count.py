@@ -17,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fanshift"
 
-OPTIONS = 20
+OPTIONS = 17
 
 PLANTED = (
     "def planted(a, b=1, *, c=2):\n    return lambda d=3: a + b + c + d\n"

@@ -44,7 +44,6 @@ REASONS = {
 
 # "module.qualname": (reason kind, one line on where it is used)
 ALLOWED = {
-    "errors.WellDefinednessError.__init__": ("failure", "descend finds a witness pair"),
     "invariants._BundleScan.clusters": ("failure", "oracle_agreement reports a missed leg"),
     "mahavier.coord_range": ("acceptance", "criterion 5 through coords; a tracer span"),
     "mahavier.coords": ("acceptance", "criterion 5 reads zero-height coordinates"),
