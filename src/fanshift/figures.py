@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from itertools import product as iter_product
 
-from .errors import ResourceCapExceeded
-from .itinerary import ENUMERATION_CAP, address_value, count_words_recurrence
-from .itinerary import iter_addresses
+from . import itinerary
+from .itinerary import address_value, capped, iter_addresses, letters_with_domain
+from .itinerary import word_count
 from .mahavier import chunk_x, fiber_length
 from .quotients import AParam, build_fan, host_bundle
 from .xspace import XPoint, embed
@@ -64,15 +64,13 @@ class Svg:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _capped(items: int, what: str) -> int:
-    """A figure's item count, checked against the cap before any is made."""
-    if items > ENUMERATION_CAP:
-        raise ResourceCapExceeded(f"{items} {what} exceed cap {ENUMERATION_CAP}")
-    return items
+def _doublings(depth: int, what: str) -> int:
+    """2^depth through ``capped``, the power stopped at the first one past the cap."""
+    return capped(2 ** min(depth, itinerary.ENUMERATION_CAP.bit_length()), what)
 
 
 def _cantor_addresses(depth: int) -> list[float]:
-    _capped(2**depth, "Cantor addresses")
+    _doublings(depth, f"Cantor addresses (depth={depth})")
     return sorted(address_value("".join(d)) for d in iter_product("02", repeat=depth))
 
 
@@ -142,52 +140,32 @@ def fig_product_and_wedge(depth: int, **_) -> str:
 
 
 def fig_relation(depth: int, **_) -> str:
-    """All six families of the relation drawn in chart coordinates, over
-    intervals 1-7, each curve from 2^depth samples."""
-    samples = _capped(2**depth, "samples")
+    """The relation's letters over intervals 1-7 in chart coordinates, each
+    applied through ``Letter.piece``: the two bends as curves of 2^depth
+    samples, then the up, down and identity letters as strokes."""
+    samples = _doublings(depth, f"samples (depth={depth})")
     svg = Svg(1000, 1000)
 
-    def pt(ex, ey):
-        return 60.0 + 880.0 * ex, 940.0 - 880.0 * ey
+    def pt(lt, u, v):  # u on the letter's domain, v on its range
+        x, y = embed(XPoint(lt.ell, u)), embed(XPoint(lt.range_index, v))
+        return 60.0 + 880.0 * x, 940.0 - 880.0 * y
 
-    svg.line(*pt(0, 0), *pt(1, 0), stroke="#bbbbbb", width=0.6)
-    svg.line(*pt(0, 0), *pt(0, 1), stroke="#bbbbbb", width=0.6)
-
-    curve = []
-    for i in range(samples + 1):
-        u = i / samples
-        x = XPoint(1, u)
-        curve.append(pt(embed(x), embed(XPoint(1, u ** (1.0 / 3.0)))))
-    svg.polyline(curve, stroke="#8c2d19", width=1.6)
-
-    curve = []
-    for i in range(samples + 1):
-        u = i / samples
-        curve.append(pt(embed(XPoint(2, u)), embed(XPoint(2, u * u))))
-    svg.polyline(curve, stroke="#b4741e", width=1.6)
-
-    for k in range(1, 7):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k + 1, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k + 1, 1.0))),
-            stroke="#245c36",
-            width=1.4,
-        )
-    for k in range(2, 8):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k - 1, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k - 1, 1.0))),
-            stroke="#2b5f8a",
-            width=1.4,
-        )
-    for k in range(3, 8):
-        svg.line(
-            *pt(embed(XPoint(k, 0.0)), embed(XPoint(k, 0.0))),
-            *pt(embed(XPoint(k, 1.0)), embed(XPoint(k, 1.0))),
-            stroke="#5a3a78",
-            width=1.4,
-        )
-    svg.circle(*pt(1.0, 1.0), 4.0)
+    svg.line(60.0, 940.0, 940.0, 940.0, stroke="#bbbbbb", width=0.6)
+    svg.line(60.0, 940.0, 60.0, 60.0, stroke="#bbbbbb", width=0.6)
+    letters = [
+        lt for d in range(1, 8) for lt in letters_with_domain(d) if lt.range_index <= 7
+    ]
+    # the bends are the letters whose piece is not the identity
+    bends = [lt for lt in letters if lt.piece(0.5) != 0.5]
+    grid = [i / samples for i in range(samples + 1)]
+    for lt, stroke in zip(bends, ("#8c2d19", "#b4741e")):
+        svg.polyline([pt(lt, u, lt.piece(u)) for u in grid], stroke=stroke, width=1.6)
+    for j, stroke in ((3, "#245c36"), (1, "#2b5f8a"), (2, "#5a3a78")):
+        for lt in letters:
+            if lt.j == j and lt not in bends:
+                ends = (*pt(lt, 0.0, lt.piece(0.0)), *pt(lt, 1.0, lt.piece(1.0)))
+                svg.line(*ends, stroke=stroke, width=1.4)
+    svg.circle(940.0, 60.0, 4.0)
     return svg.render()
 
 
@@ -198,7 +176,7 @@ def fig_model_space(depth: int, **_) -> str:
     def pt(c, tau):
         return 40.0 + 920.0 * c, 640.0 - 1100.0 * tau
 
-    _capped(count_words_recurrence(7, depth)[-1], "words in bundle 7")  # the largest
+    capped(word_count(7, depth), f"words in bundle 7 (depth={depth})")  # the largest
     for k in range(1, 8):
         h = fiber_length(k)
         for addr in iter_addresses(k, depth):

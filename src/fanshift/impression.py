@@ -16,15 +16,9 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import PathNotFound, ResourceCapExceeded
-from .itinerary import (
-    ENUMERATION_CAP,
-    Letter,
-    Word,
-    count_words_recurrence,
-    iter_words,
-    letters_with_domain,
-)
+from . import itinerary
+from .errors import PathNotFound
+from .itinerary import Letter, Word, capped, iter_words, letters_with_domain, word_count
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -36,7 +30,6 @@ from .mahavier import (
 )
 from .xspace import INFINITY, XPoint, embed
 
-BFS_CAP = 10**6
 INTERIOR_GUARD = 1e-14
 # exponent candidates a connector tries before the builder gives up
 TRIES = 600
@@ -51,7 +44,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
 
     Interior seeds are tracked by exact exponent keys (interval, doublings,
     third-roots), so no float comparison is needed for deduplication.  More
-    than ``BFS_CAP`` keys raise.
+    keys than the enumeration cap raise.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -70,6 +63,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
     # their exponent components stay pinned at zero.
     start = (s.k, 0, 0)
     seen = {start}
+    cap = itinerary.ENUMERATION_CAP
     frontier = [start]
     for _ in range(depth):
         nxt = []
@@ -79,11 +73,9 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
                 st = (lt.range_index, m + dm, n + dn)
                 if st not in seen:
                     seen.add(st)
-                    if len(seen) > BFS_CAP:
-                        raise ResourceCapExceeded(
-                            f"reachability from XPoint(k={s.k}, u={s.u!r}) "
-                            f"exceeded cap {BFS_CAP}"
-                        )
+                    if len(seen) > cap:  # the message is made only on refusal
+                        at = f"XPoint(k={s.k}, u={s.u!r})"
+                        capped(len(seen), f"reachable states (s={at}, depth={depth})")
                     nxt.append(st)
         frontier = nxt
         if not frontier:
@@ -149,11 +141,7 @@ def symbolic_family(
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     size = (m_max + 1) * (n_max + 1) * k_max
-    if size > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"{size} symbolic points (m_max={m_max}, n_max={n_max}, "
-            f"k_max={k_max}) exceed cap {ENUMERATION_CAP}"
-        )
+    capped(size, f"symbolic points (m_max={m_max}, n_max={n_max}, k_max={k_max})")
     out = []
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):
@@ -196,17 +184,12 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
     # the net is sized before it is walked: 2^(2-2k) / eps is interval k's
-    # diameter over eps/2, clamped so that its ceiling stays finite
+    # diameter over eps/2, clamped at the cap so that its ceiling stays finite
     cells = [
-        max(1, math.ceil(min(2.0 ** (2 - 2 * k) / eps, ENUMERATION_CAP)))
-        for k in range(1, min(k_cut, ENUMERATION_CAP) + 1)
+        max(1, math.ceil(min(2.0 ** (2 - 2 * k) / eps, itinerary.ENUMERATION_CAP)))
+        for k in range(1, min(k_cut, itinerary.ENUMERATION_CAP) + 1)
     ]
-    size = sum(cells) + k_cut + 1
-    if size > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"at least {size} net points (eps={eps}, k_cut={k_cut}) "
-            f"exceed cap {ENUMERATION_CAP}"
-        )
+    size = capped(sum(cells) + k_cut + 1, f"net points (eps={eps}, k_cut={k_cut})")
     embeds = sorted(embed(p) for p in points)
     if not embeds:
         raise ValueError("need a nonempty sample set")
@@ -293,13 +276,8 @@ def build_net(eps: float, cfg: WindowConfig, *, u_cells: int = 12) -> list[MPoin
     # a window word is a left walk of n letters into interval k joined to a
     # right walk of n letters out of k; the letter graph is symmetric, so
     # the two walks count alike, and the net is sized before it is built
-    words = sum(count_words_recurrence(k, n)[-1] ** 2 for k in range(1, k_cut + 1))
-    size = words * (u_cells + 1) + 1
-    if size > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"{size} net points (eps={eps}, window={n}, u_cells={u_cells}) "
-            f"exceed cap {ENUMERATION_CAP}"
-        )
+    size = sum(word_count(k, n) ** 2 for k in range(1, k_cut + 1)) * (u_cells + 1) + 1
+    capped(size, f"net points (eps={eps}, window={n}, u_cells={u_cells})")
     net: list[MPoint] = []
     for k in range(1, k_cut + 1):
         for word in iter_words(k, 2 * n, start=-n):

@@ -30,6 +30,17 @@ from .xspace import XPoint, _Frozen, _set, cbrt
 ENUMERATION_CAP = 10**6
 
 
+def capped(size: int, what: str) -> int:
+    """``size``, refused with ResourceCapExceeded past ``ENUMERATION_CAP``
+    before any item is built; ``what`` names the items and the parameters
+    that reproduce them.  A size may be a count stopped at the cap
+    (``word_count``), so the message gives it as a lower bound."""
+    cap = ENUMERATION_CAP
+    if size > cap:
+        raise ResourceCapExceeded(f"at least {size} {what} exceed cap {cap}")
+    return size
+
+
 class Letter(_Frozen):
     __slots__ = ("ell", "j", "domain_index", "range_index")
     # domain_index and range_index are derived: eq and hash read (ell, j)
@@ -156,20 +167,15 @@ def iter_words(k: int, n: int, *, start: int = 0) -> Iterator[Word]:
     that span.  Enumeration order is canonical: letters are chosen in
     (ell, j) order rightward from position 0, then leftward.  A word is a
     right walk out of k joined to a left walk into k, and the letter graph
-    is symmetric, so the two walks count alike: more than
-    ``ENUMERATION_CAP`` words raise before any is walked.
+    is symmetric, so the two walks count alike, and the words are sized
+    with ``capped`` before any is walked.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     if not (start <= 0 < start + n):
         raise ValueError("position 0 must lie inside the word span")
-    size = count_words_recurrence(k, start + n)[-1]
-    if start:
-        size *= count_words_recurrence(k, -start)[-1]
-    if size > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"enumeration of words (k={k}, n={n}) exceeded cap {ENUMERATION_CAP}"
-        )
+    size = word_count(k, start + n) * word_count(k, -start)
+    capped(size, f"words (k={k}, n={n}, start={start})")
     right = left = [((), k)]
     for _ in range(start + n):
         right = [
@@ -202,11 +208,33 @@ def _walks(k: int, n: int, succ) -> Iterator[dict[int, int]]:
         yield ending
 
 
+def _ranges(r: int) -> list[int]:
+    """The ranges of the letters leaving interval r."""
+    return [lt.range_index for lt in letters_with_domain(r)]
+
+
 def count_words_recurrence(k: int, n: int) -> list[int]:
     """Expected word counts for lengths 1..n from the branching recurrence
     on the letter table: interval 1 branches 2 ways, every other 3 ways."""
-    ends = _walks(k, n, lambda r: [lt.range_index for lt in letters_with_domain(r)])
-    return [sum(ending.values()) for ending in ends]
+    return [sum(ending.values()) for ending in _walks(k, n, _ranges)]
+
+
+def word_count(k: int, n: int) -> int:
+    """The number of n-letter words out of interval k (1 for n = 0), counted
+    up to the first length past ``ENUMERATION_CAP``: every interval has two
+    or more letters in and out, so a count stopped there is a lower bound
+    past the cap.  Cached per cap, so a patched cap counts afresh."""
+    return _word_count(k, n, ENUMERATION_CAP)
+
+
+@lru_cache(maxsize=None)
+def _word_count(k: int, n: int, cap: int) -> int:
+    count = 1  # the empty word
+    for ending in _walks(k, n, _ranges):
+        count = sum(ending.values())
+        if count > cap:
+            break
+    return count
 
 
 class CantorCertificate(NamedTuple):
@@ -322,14 +350,11 @@ def iter_addresses(k: int, n: int) -> Iterator[str]:
 
     Each level extends every address by one block per candidate letter, in
     canonical order; the blocks of one step have one length and rise with
-    the rank, so every level stays sorted.  More than ``ENUMERATION_CAP``
-    words raise before any is walked."""
+    the rank, so every level stays sorted.  The addresses are sized with
+    ``capped`` before any is walked."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if count_words_recurrence(k, n)[-1] > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"enumeration of words (k={k}, n={n}) exceeded cap {ENUMERATION_CAP}"
-        )
+    capped(word_count(k, n), f"addresses (k={k}, n={n})")
     level = [("", k)]
     for _ in range(n):
         level = [

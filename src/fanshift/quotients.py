@@ -21,14 +21,9 @@ from itertools import product as iter_product
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .errors import (
-    HypothesisViolated,
-    ResourceCapExceeded,
-    TruncationError,
-    WellDefinednessError,
-)
-from .itinerary import ENUMERATION_CAP, Letter, Word, address_value, cantor_address
-from .itinerary import count_words_recurrence, iter_addresses
+from .errors import HypothesisViolated, TruncationError, WellDefinednessError
+from .itinerary import Letter, Word, address_value, cantor_address, capped
+from .itinerary import iter_addresses, word_count
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -381,7 +376,11 @@ class AParam(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "AParam":
-        return cls(tuple(int(tok) for tok in text.split(",") if tok.strip()))
+        """Comma-separated coordinates; a blank one is refused unless all are."""
+        tokens = [tok.strip() for tok in text.split(",")]
+        if any(tokens) and not all(tokens):
+            raise ValueError(f"empty coordinate in {text!r}")
+        return cls(tuple(int(tok) for tok in tokens if tok))
 
     @classmethod
     def all_params(cls, kmax: int) -> list["AParam"]:
@@ -566,15 +565,6 @@ def _bundle_legs(k: int, depth: int) -> tuple[Leg, ...]:
     return tuple(Leg(bundle, addr, length) for addr in iter_addresses(k, depth))
 
 
-@lru_cache(maxsize=256)
-def _fan_leg_count(kmax_bundle: int, depth: int) -> int:
-    """Legs of a fan over bundles 1..kmax_bundle, from the branching
-    recurrence; computed once per (kmax_bundle, depth)."""
-    return sum(
-        count_words_recurrence(k, depth)[-1] for k in range(1, kmax_bundle + 1)
-    )
-
-
 def identity_address(j: int, depth: int) -> str:
     """Address of the diagonal itinerary in bundle j >= 3."""
     return cantor_address(Word((Letter(j, 2),) * depth))
@@ -586,8 +576,8 @@ def build_fan(a: AParam, kmax_bundle: int, depth: int) -> FanModel:
     Bundle k contributes one leg of length 2^(1-2k) per admissible word of
     the given depth; for each parameter coordinate k the diagonal legs of
     the blocks host_bundle(k)+1 .. host_bundle(k)+a_k are glued onto the
-    diagonal leg of host_bundle(k).  A fan of more than ENUMERATION_CAP
-    legs raises ResourceCapExceeded before any word is enumerated.
+    diagonal leg of host_bundle(k).  The legs are sized with ``capped``,
+    one cached word count per bundle, before any word is enumerated.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -598,12 +588,8 @@ def build_fan(a: AParam, kmax_bundle: int, depth: int) -> FanModel:
                 f"parameter coordinate {k} needs bundle {need}, "
                 f"model stops at {kmax_bundle}"
             )
-    total = _fan_leg_count(kmax_bundle, depth)
-    if total > ENUMERATION_CAP:
-        raise ResourceCapExceeded(
-            f"fan with {kmax_bundle} bundles at depth {depth} has {total} legs, "
-            f"over cap {ENUMERATION_CAP}"
-        )
+    legs = sum(word_count(k, depth) for k in range(1, kmax_bundle + 1))
+    capped(legs, f"fan legs (kmax_bundle={kmax_bundle}, depth={depth})")
     legs: list[Leg] = []
     start: dict[int, int] = {}  # index of each bundle's first leg
     for k in range(1, kmax_bundle + 1):

@@ -109,6 +109,8 @@ def test_usage_error_exit_code(capsys):
     [
         ["verify", "quotient", "--a", "1,5"],
         ["verify", "quotient", "--a", ","],
+        ["verify", "quotient", "--a", "1,,3"],
+        ["verify", "quotient", "--a", "1,3,"],
         ["verify", "juma", "--depth", "0"],
         ["verify", "orbit", "--window", "0"],
         ["verify", "decomposition", "--config", "{bad_config}"],
@@ -119,6 +121,7 @@ def test_usage_error_exit_code(capsys):
         ["verify", "hlavna", "--kmax", "3"],
         ["render", "glue", "--out", "{svg}", "--a", "1,5"],
         ["render", "glue", "--out", "{svg}", "--a", ","],
+        ["render", "glue", "--out", "{svg}", "--a", "1,,3"],
         # only the gluing figure reads --a
         *(
             ["render", fig, "--a", "1,3", "--out", "{svg}"]
@@ -188,6 +191,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "quotient", "--a", ","], None, "a must have at least one coordinate"),
         (["render", "glue", "--out", "{nodir}.svg", "--a", ","], None,
          "a must have at least one coordinate"),
+        (["verify", "quotient", "--a", "1,,3"], None, "a: empty coordinate in '1,,3'"),
+        (["verify", "quotient", "--a", "1,3,"], None, "a: empty coordinate in '1,3,'"),
     ],
     ids=[
         "report-path",
@@ -223,6 +228,8 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "impression-k-max-0",
         "quotient-a-empty",
         "glue-a-empty",
+        "quotient-a-blank-inside",
+        "quotient-a-blank-last",
     ],
 )
 def test_usage_errors_name_their_cause(argv, env, needle, tmp_path, capsys, monkeypatch):
@@ -358,6 +365,76 @@ def test_diam_weighs_a_window_past_the_float_exponent(tmp_path):
     assert set(report["extra"]["worst_slice_dist"]) == {"1"}
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ["render", "glue", "--depth", "2000"],
+            2,
+            "at least 15196766 fan legs (kmax_bundle=10, depth=2000) exceed cap",
+        ),
+        (
+            ["verify", "orbit", "--window", "400"],
+            1,
+            "at least 6657053381793608 net points (eps=0.125, window=400, u_cells=12) "
+            "exceed cap",
+        ),
+        (
+            ["verify", "orbit", "--window", "200"],
+            1,
+            "at least 3352627804965908 net points (eps=0.125, window=200, u_cells=12) "
+            "exceed cap",
+        ),
+        (
+            ["verify", "juma", "--depth", "2000"],
+            1,
+            "at least 7332684 fan legs (kmax_bundle=5, depth=2000) exceed cap",
+        ),
+        (
+            ["render", "fig6", "--depth", "3000"],
+            2,
+            "at least 1567190 words in bundle 7 (depth=3000) exceed cap",
+        ),
+        (
+            ["render", "fig5", "--depth", "100000"],
+            2,
+            "at least 1048576 samples (depth=100000) exceed cap",
+        ),
+        (
+            ["verify", "diam", "--window", "600000", "--samples", "1"],
+            1,
+            "at least 1200000 letters per window (window=600000) exceed cap",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_deep_inputs_are_refused_at_once_with_a_lower_bound(argv, code, message, tmp_path):
+    # each word count stops at the first length past the cap, so a depth or
+    # window of thousands is refused in a fraction of a second, with a count
+    # of a few digits given as a lower bound, and never an exact count of
+    # hundreds of digits
+    out = tmp_path / ("f.svg" if argv[0] == "render" else "r.json")
+    flag = "--out" if argv[0] == "render" else "--report"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanshift.cli", *argv, flag, str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == code, proc.stderr
+    assert elapsed < 2.0
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert not out.exists()
+        text = proc.stderr
+    else:
+        (witness,) = json.loads(out.read_text())["witnesses"]
+        assert witness["error"] == "ResourceCapExceeded"
+        text = witness["message"]
+    assert f"{message} {itinerary.ENUMERATION_CAP}" in text
+
+
 def _limit_memory():
     """Cap the child's address space at 1.5 GB, so a command that builds
     an unbounded structure fails fast instead of filling the machine."""
@@ -403,6 +480,8 @@ def test_impression_refuses_an_oversized_net_or_box_before_building_it(
     assert elapsed < 2.0
     (witness,) = json.loads(report_path.read_text())["witnesses"]
     assert witness["error"] == "ResourceCapExceeded"
+    # every refusal gives its count as a lower bound
+    assert witness["message"].startswith("at least ")
     assert witness["message"].endswith(message.format(cap=itinerary.ENUMERATION_CAP))
 
 
@@ -441,8 +520,8 @@ def test_juma_cap_failure_report(tmp_path):
         "witnesses": [
             {
                 "error": "ResourceCapExceeded",
-                "message": "fan with 5 bundles at depth 12 has 1720513 legs, "
-                "over cap 1000000",
+                "message": "at least 1720513 fan legs (kmax_bundle=5, depth=12) "
+                "exceed cap 1000000",
             }
         ],
     }

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fanshift import impression
+from fanshift import impression, itinerary
 from fanshift.errors import PathNotFound, ResourceCapExceeded
 from fanshift.impression import (
     INTERIOR_GUARD,
@@ -139,9 +139,16 @@ def test_reachable_from_endpoint_seed(monkeypatch):
     got = forward_reachable(XPoint(1, 0.0), 4)
     assert all(p.u == 0.0 for p in got)
     # their exponent keys stay pinned at (k, 0, 0): depth 10 visits only
-    # intervals 1..11, so 11 keys fit under the cap
-    monkeypatch.setattr(impression, "BFS_CAP", 11)
+    # intervals 1..11, so 11 keys fit under a cap of 11 and not of 10
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 11)
     assert len(forward_reachable(XPoint(1, 1.0), 10)) == 11
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 10)
+    message = (
+        r"^at least 11 reachable states \(s=XPoint\(k=1, u=1\.0\), depth=10\) "
+        r"exceed cap 10$"
+    )
+    with pytest.raises(ResourceCapExceeded, match=message):
+        forward_reachable(XPoint(1, 1.0), 10)
 
 
 def test_symbolic_family_seed_and_values():
@@ -268,7 +275,7 @@ def test_net_size_is_capped_before_any_word_is_built(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as exc:
         build_net(0.125, WindowConfig(5))
     assert str(exc.value) == (
-        f"1830518 net points (eps=0.125, window=5, u_cells=12) exceed cap "
+        f"at least 1830518 net points (eps=0.125, window=5, u_cells=12) exceed cap "
         f"{ENUMERATION_CAP}"
     )
     with pytest.raises(AssertionError, match="enumerated"):

@@ -24,6 +24,7 @@ from fanshift.itinerary import (
     letters_with_domain,
     letters_with_range,
     random_word,
+    word_count,
 )
 from fanshift.mahavier import random_window_point, shift, unshift
 
@@ -210,9 +211,30 @@ def test_enumeration_matches_recurrence_exhaustively():
 
 
 def test_enumeration_cap(monkeypatch):
+    # the count stops at 5 letters, the first length past the cap
     monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 100)
-    with pytest.raises(ResourceCapExceeded, match="exceeded cap 100"):
+    message = r"^at least 242 words \(k=5, n=10, start=0\) exceed cap 100$"
+    with pytest.raises(ResourceCapExceeded, match=message):
         list(iter_words(5, 10))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_word_count_is_exact_under_the_cap(k):
+    expected = count_words_recurrence(k, 12)
+    assert [word_count(k, n) for n in range(13)] == [1, *expected]
+
+
+def test_word_count_stops_at_the_first_length_past_the_cap(monkeypatch):
+    # 13 letters give the first count past 10^6 out of interval 5, and a
+    # length of 10^6 letters walks no further than that
+    counts = count_words_recurrence(5, 13)
+    assert counts[-2] <= 10**6 < counts[-1] == word_count(5, 10**6) == 1446355
+    # the cache is keyed on the cap: a patched cap counts afresh, and the
+    # restored cap finds its exact count again
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 100)
+    assert word_count(5, 12) == 242
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 10**6)
+    assert word_count(5, 12) == counts[11] == 488865
 
 
 def test_two_sided_enumeration():
@@ -227,7 +249,8 @@ def test_two_sided_enumeration_is_sized_before_it_walks(monkeypatch):
     # 5 right walks out of interval 1 times 5 left walks into it
     monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 24)
     words = iter_words(1, 4, start=-2)
-    with pytest.raises(ResourceCapExceeded, match="exceeded cap 24"):
+    message = r"^at least 25 words \(k=1, n=4, start=-2\) exceed cap 24$"
+    with pytest.raises(ResourceCapExceeded, match=message):
         next(words)
     monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 25)
     assert len(list(iter_words(1, 4, start=-2))) == 25
@@ -380,8 +403,9 @@ def test_addresses_walk_matches_words():
 
 def test_addresses_walk_cap(monkeypatch):
     monkeypatch.setattr(itinerary, "ENUMERATION_CAP", 100)
-    walk = iter_addresses(5, 5)  # 243 words
-    with pytest.raises(ResourceCapExceeded, match=r"\(k=5, n=5\) exceeded cap 100$"):
+    walk = iter_addresses(5, 5)  # 242 words
+    message = r"^at least 242 addresses \(k=5, n=5\) exceed cap 100$"
+    with pytest.raises(ResourceCapExceeded, match=message):
         next(walk)
     assert len(list(iter_addresses(5, 4))) == 81
     with pytest.raises(ValueError):

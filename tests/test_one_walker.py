@@ -21,6 +21,7 @@ WALKER = "mahavier._steps"
 
 # "module.qualname": one line on the single letter it applies
 ONE_STEP = {
+    "figures.fig_relation": "applies single letters to draw their graphs",
     "mahavier.shift": "moves the base through the letter at transition 0",
     "mahavier.unshift": "moves the base back through the letter at transition -1",
     "relations.h_image": "one image per letter leaving the point's interval",

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanshift import quotients
+from fanshift import itinerary
 from fanshift.errors import (
     HypothesisViolated,
     ResourceCapExceeded,
@@ -475,20 +475,26 @@ def test_build_fan_leg_count_and_cap():
     # fans of the same depth share their bundles' Leg objects
     other = build_fan(AParam((1,)), 4, 3)
     assert all(x is y for x, y in zip(build_fan(AParam(()), 4, 3).legs, other.legs))
-    with pytest.raises(ResourceCapExceeded, match=f"over cap {ENUMERATION_CAP}$"):
+    message = (
+        rf"^at least 1720513 fan legs \(kmax_bundle=5, depth=12\) "
+        rf"exceed cap {ENUMERATION_CAP}$"
+    )
+    with pytest.raises(ResourceCapExceeded, match=message):
         build_fan(AParam(()), 5, 12)
 
 
 def test_build_fan_counts_legs_once_per_size(monkeypatch):
-    # the leg total of a (kmax_bundle, depth) is computed at most once:
-    # after one fan of each size, more fans of those sizes count nothing
+    # each bundle's word count of a depth is walked at most once: after
+    # one fan of each size, more fans of those sizes walk nothing
     calls = []
+    walks = itinerary._walks
 
-    def counted(k, n):
+    def counted(k, n, succ):
         calls.append((k, n))
-        return count_words_recurrence(k, n)
+        return walks(k, n, succ)
 
-    monkeypatch.setattr(quotients, "count_words_recurrence", counted)
+    monkeypatch.setattr(itinerary, "_walks", counted)
+    itinerary._word_count.cache_clear()
     build_fan(AParam(()), 5, 3)
     build_fan(AParam(()), 4, 4)
     warm = len(calls)
