@@ -24,6 +24,7 @@ from .mahavier import (
     MPoint,
     WindowConfig,
     _coords_at,
+    _run_window,
     _steps,
     _window_dists,
     dist_window,
@@ -59,6 +60,12 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
             return u0
         return u0 ** (2.0**m / 3.0**n)
 
+    # sized from below before the walk: every seed reaches intervals
+    # k..k+depth, and an interior one every key (2 + j, m, n) with j + m + n
+    # <= depth - k: k - 1 steps down, n roots, one up, m squares, j up
+    what = f"reachable states (s=XPoint(k={s.k}, u={s.u!r}), depth={depth})"
+    slack = depth - s.k
+    capped(math.comb(slack + 3, 3) if interior and slack >= 0 else depth + 1, what)
     # key: (interval, m, n); endpoint seeds keep a constant coordinate, so
     # their exponent components stay pinned at zero.
     start = (s.k, 0, 0)
@@ -73,9 +80,8 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
                 st = (lt.range_index, m + dm, n + dn)
                 if st not in seen:
                     seen.add(st)
-                    if len(seen) > cap:  # the message is made only on refusal
-                        at = f"XPoint(k={s.k}, u={s.u!r})"
-                        capped(len(seen), f"reachable states (s={at}, depth={depth})")
+                    if len(seen) > cap:  # the bound above is not exact
+                        capped(len(seen), what)
                     nxt.append(st)
         frontier = nxt
         if not frontier:
@@ -151,9 +157,12 @@ def symbolic_family(
 
 
 def _check_eps(eps: float) -> None:
-    """Reject an eps outside (0, inf), NaN included."""
+    """Reject an eps outside (0, 1), NaN included: every chart distance and
+    every weighted window gap is at most 1, so an eps >= 1 passes vacuously."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if eps >= 1.0:
+        raise ValueError(f"eps must be below 1, the diameter of the space, got {eps}")
 
 
 def default_k_cut(eps: float) -> int:
@@ -183,13 +192,20 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
     _check_eps(eps)
     if k_cut < 1:
         raise ValueError(f"k_cut must be >= 1, got {k_cut}")
-    # the net is sized before it is walked: 2^(2-2k) / eps is interval k's
-    # diameter over eps/2, clamped at the cap so that its ceiling stays finite
-    cells = [
-        max(1, math.ceil(min(2.0 ** (2 - 2 * k) / eps, itinerary.ENUMERATION_CAP)))
-        for k in range(1, min(k_cut, itinerary.ENUMERATION_CAP) + 1)
-    ]
-    size = capped(sum(cells) + k_cut + 1, f"net points (eps={eps}, k_cut={k_cut})")
+    cap = itinerary.ENUMERATION_CAP
+
+    def n_cells(k: int) -> int:
+        """Interval k's diameter 2^(2-2k) over eps/2, clamped at the cap."""
+        return max(1, math.ceil(min(2.0 ** (2 - 2 * k) / eps, cap)))
+
+    # the net is sized before it is built: interval k adds n_cells(k) + 1
+    # points and infinity one, and the count stops once past the cap
+    size = k_cut + 1
+    for k in range(1, k_cut + 1):
+        if size > cap:
+            break
+        size += n_cells(k)
+    capped(size, f"net points (eps={eps}, k_cut={k_cut})")
     embeds = sorted(embed(p) for p in points)
     if not embeds:
         raise ValueError("need a nonempty sample set")
@@ -204,11 +220,10 @@ def eps_dense_check(points, eps: float, k_cut: int) -> DensityReport:
         return best
 
     uncovered = []
-    for k, n_cells in enumerate(cells, 1):
-        lo = 1.0 - 2.0 ** (2 - 2 * k)
-        diam = 2.0 ** (1 - 2 * k)
-        for i in range(n_cells + 1):
-            e = lo + diam * i / n_cells
+    for k in range(1, k_cut + 1):
+        n = n_cells(k)
+        for i in range(n + 1):
+            e = embed(XPoint(k, i / n))
             d = min_dist(e)
             if d > eps:
                 uncovered.append({"k": k, "embed": e, "min_dist": d})
@@ -307,26 +322,21 @@ def _steer_candidates(u_cur: float, v_target: float, tries: int):
     0 < u_cur < 1, ``u_cur ** e`` does not increase along ``_exponents()``,
     so the interior powers fill one run of the table, and the crossing of
     v_target, clamped into that run, is the first index whose power is at
-    most the clamped target: it is guessed from logarithms and settled by
-    exact power comparisons.  The distance grows walking outward from the
-    crossing on either side, so two indices walk the two sides outward in
-    step, each stopping where the powers leave the interior, and each run
-    of equal distances is yielded in (m + n, m, n) order.
+    most the clamped target, found by one bisection on exact power
+    comparisons.  The distance grows walking outward from the crossing on
+    either side, so two indices walk the two sides outward in step, each
+    stopping where the powers leave the interior, and each run of equal
+    distances is yielded in (m + n, m, n) order.
     """
     if not 0.0 < u_cur < 1.0:
         return  # every power of 0 or 1 is an endpoint
     exps = _exponents()
-    size = len(exps)
     # a power below 1 - INTERIOR_GUARD is at most the float just below it
     bound = min(max(v_target, INTERIOR_GUARD), math.nextafter(1.0 - INTERIOR_GUARD, 0))
-    mid = bisect.bisect_left(exps, (math.log(bound) / math.log(u_cur),))
-    while mid > 0 and u_cur ** exps[mid - 1][0] <= bound:
-        mid -= 1
-    while mid < size and u_cur ** exps[mid][0] > bound:
-        mid += 1
+    mid = bisect.bisect_left(exps, True, key=lambda e: u_cur ** e[0] <= bound)
 
     def gap(i: int) -> float:
-        if 0 <= i < size:
+        if 0 <= i < len(exps):
             power = u_cur ** exps[i][0]
             if INTERIOR_GUARD < power < 1.0 - INTERIOR_GUARD:
                 return abs(power - v_target)
@@ -360,10 +370,10 @@ def transitive_orbit_builder(
     The orbit is one long admissible itinerary built element by element:
     a connector descends to interval 1, adjusts the local coordinate with
     third-root and squaring steps chosen from an exponent lattice, climbs
-    to the element's window, then copies the element's letters.  Every
-    claimed visit is measured once, on the orbit's own window, before it is
-    recorded; a connector that misses is taken back, and if no lattice
-    candidate lands within eps the construction aborts instead of guessing.
+    to the element's window, then copies the element's letters.  Every run
+    is measured once, on the window it ends in, before it is appended, and
+    appended only on a hit; if no lattice candidate lands within eps the
+    construction aborts instead of guessing.
     """
     n = cfg.half_width
     k_cut = orbit_k_cut(eps, n)
@@ -378,15 +388,14 @@ def transitive_orbit_builder(
     letters: list[Letter] = []
     visits: list[Visit] = []
 
-    def visit(oi: int, run: tuple[Letter, ...], u: float) -> bool:
-        """Record a visit to net element ``oi`` at the orbit time where the
-        orbit's last 2N letters are ``run`` and the coordinate is ``u``, if
-        the window there lies within the target."""
-        # a run of the orbit word, which is checked whole once it is built
-        x = XPoint(run[n].domain_index, u)
-        d = dist_window(MPoint._trusted(Word._trusted(run, -n), x), net[oi], cfg)
+    def hit(oi: int, run: tuple[Letter, ...], u: float) -> bool:
+        """Append ``run`` and record a visit to net element ``oi`` if the
+        window of its last 2N letters, at coordinate ``u`` in their middle,
+        lies within the target; a miss appends nothing."""
+        d = dist_window(_run_window(run[-2 * n :], u), net[oi], cfg)
         if d > target:
             return False
+        letters.extend(run)
         visits.append(Visit(oi, len(letters) - 2 * n, d))
         return True
 
@@ -402,48 +411,37 @@ def transitive_orbit_builder(
     u_left = _steps(u_seed, central[:n], inverse=True)[-1]
     trace = _steps(u_left, central, inverse=False)
     u_base, u_end = trace[-1 - n], trace[-1]
-    letters.extend(central)
-    if not visit(order[0], central, u_base):
+    if not hit(order[0], central, u_base):
         raise PathNotFound("seed element not matched; refine the height grid")
 
+    # a window wholly inside a deep interval is close to the all-infinity
+    # point: the shallowest interval deep enough is the one past the cutoff
+    k_vis = orbit_k_cut(target, 0) + 1
+    block = (letters_with_domain(k_vis)[1],) * (2 * n)
     for oi in order[1:]:
         elem = net[oi]
         k_cur = letters[-1].range_index
 
         if elem.is_all_infinity:
-            # A window sitting wholly inside a deep interval is close to the
-            # all-infinity point; pick the shallowest deep enough interval.
-            k_vis = 3
-            while 2.0 ** (2 - 2 * k_vis) > target:
-                k_vis += 1
-            block = (letters_with_domain(k_vis)[1],) * (2 * n)
-            letters += _navigate(k_cur, k_vis)
-            letters += block
             # the climb and the identity block only translate, so u_end is
             # the coordinate at the block's center
-            if not visit(oi, block, u_end):
+            if not hit(oi, (*_navigate(k_cur, k_vis), *block), u_end):
                 raise PathNotFound("infinity element not matched; raise k_vis")
             continue
 
         central = elem.word.slice(-n, n - 1).letters
         d_left = central[0].domain_index
         v_target = _steps(elem.t0.u, central[:n], inverse=True)[-1]
-        size = len(letters)
         tried = 0
         candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
             # an exact endpoint would pin every later coordinate there, so
-            # only a candidate that stays interior is appended, and it is
-            # taken back on a miss
-            run = _navigate(k_cur, 1) + [*witness_path(m, n_steps, d_left), *central]
+            # only a candidate that stays interior is measured
+            run = (*_navigate(k_cur, 1), *witness_path(m, n_steps, d_left), *central)
             trace = _steps(u_end, run, inverse=False)
-            u_mid, u_next = trace[-1 - n], trace[-1]
-            if 0.0 < u_next < 1.0:
-                letters += run
-                if visit(oi, central, u_mid):
-                    u_end = u_next
-                    break
-                del letters[size:]
+            if 0.0 < trace[-1] < 1.0 and hit(oi, run, trace[-1 - n]):
+                u_end = trace[-1]
+                break
         else:
             raise PathNotFound(
                 f"no connector reached net element {oi} (d_left = {d_left}, "
@@ -478,8 +476,7 @@ def verify_orbit(result: OrbitResult) -> dict:
     for v in inside:
         # the window is a run of the point's word around the visit time
         i = v.time - start
-        x = XPoint(letters[i].domain_index, coord[v.time])
-        window = MPoint._trusted(Word._trusted(letters[i - n : i + n], -n), x)
+        window = _run_window(letters[i - n : i + n], coord[v.time])
         d, f = _window_dists(window, result.net[v.net_index], cfg)
         worst = max(worst, d)
         worst_fwd = max(worst_fwd, f)

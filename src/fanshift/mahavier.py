@@ -58,16 +58,6 @@ class MPoint(_Frozen):
         _set(self, "word", word)
         _set(self, "t0", t0)
 
-    @classmethod
-    def _trusted(cls, word: Word, t0: XPoint) -> "MPoint":
-        """A finite-window point whose word is known to contain transition
-        0 with the base's interval there, e.g. a window of an orbit word;
-        skips the checks of ``__init__``."""
-        p = object.__new__(cls)
-        _set(p, "word", word)
-        _set(p, "t0", t0)
-        return p
-
     @property
     def is_all_infinity(self) -> bool:
         return self.word is None
@@ -189,6 +179,17 @@ def _window_chart(p: MPoint, n: int) -> list[float]:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"local coordinate {u!r} outside [0, 1]")
     return list(map(_chart, ks, us))
+
+
+def _run_window(run: tuple[Letter, ...], u: float) -> MPoint:
+    """The window point of a run of 2N letters of an admissible word, its
+    origin mid-run at local coordinate ``u``: such a run passes every check
+    of ``MPoint.__init__``, so they are skipped."""
+    n = len(run) // 2
+    p = object.__new__(MPoint)
+    _set(p, "word", Word._trusted(run, -n))
+    _set(p, "t0", XPoint(run[n].domain_index, u))
+    return p
 
 
 def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float]:

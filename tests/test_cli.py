@@ -164,6 +164,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         (["verify", "orbit", "--eps", "0"], None, "eps must be positive"),
         (["verify", "orbit", "--eps", "-1"], None, "eps must be positive"),
         (["verify", "orbit", "--eps", "inf"], None, "eps must be positive"),
+        (["verify", "orbit", "--eps", "1"], None, "eps must be below 1"),
+        (["verify", "orbit", "--eps", "1.5"], None, "eps must be below 1"),
+        (["verify", "impression", "--eps", "1"], None, "eps must be below 1"),
+        (["verify", "impression", "--eps", "10"], None, "eps must be below 1"),
         (["verify", "impression", "--eps", "nan"], None, "eps must be positive"),
         (
             ["verify", "impression", "--eps", "inf", "--k-cut", "8"],
@@ -210,6 +214,10 @@ def test_invalid_parameters_are_usage_errors(argv, tmp_path, capsys):
         "orbit-eps-0",
         "orbit-eps-neg",
         "orbit-eps-inf",
+        "orbit-eps-1",
+        "orbit-eps-1.5",
+        "impression-eps-1",
+        "impression-eps-10",
         "impression-eps-nan",
         "impression-eps-inf-k-cut",
         "impression-eps-nan-k-cut",
@@ -405,14 +413,26 @@ def test_diam_weighs_a_window_past_the_float_exponent(tmp_path):
             1,
             "at least 1200000 letters per window (window=600000) exceed cap",
         ),
+        (
+            ["verify", "impression", "--depth", "1000"],
+            1,
+            "at least 167167000 reachable states (s=XPoint(k=1, u=0.5), depth=1000) "
+            "exceed cap",
+        ),
+        (
+            ["verify", "impression", "--k-cut", "999999"],
+            1,
+            "at least 1000016 net points (eps=0.0625, k_cut=999999) exceed cap",
+        ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_deep_inputs_are_refused_at_once_with_a_lower_bound(argv, code, message, tmp_path):
-    # each word count stops at the first length past the cap, so a depth or
-    # window of thousands is refused in a fraction of a second, with a count
-    # of a few digits given as a lower bound, and never an exact count of
-    # hundreds of digits
+    # each word count and the density net's running total stop at the
+    # first size past the cap, and the reachable states are bounded from
+    # below before the walk, so a depth, window or cutoff of thousands is
+    # refused in a fraction of a second, with a count of a few digits given
+    # as a lower bound, and never an exact count of hundreds of digits
     out = tmp_path / ("f.svg" if argv[0] == "render" else "r.json")
     flag = "--out" if argv[0] == "render" else "--report"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

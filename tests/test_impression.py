@@ -151,6 +151,25 @@ def test_reachable_from_endpoint_seed(monkeypatch):
         forward_reachable(XPoint(1, 1.0), 10)
 
 
+@pytest.mark.parametrize("u", [0.5, 0.0])
+def test_reachable_count_bound_holds(u):
+    # the lower bound that sizes the walk before it starts: an endpoint
+    # seed reaches intervals k..k+d, an interior one at d >= k every key
+    # (2 + j, m, n) with j + m + n <= d - k
+    for k in range(1, 6):
+        for d in range(15):
+            bound = math.comb(d - k + 3, 3) if u and d >= k else d + 1
+            assert bound <= len(forward_reachable(XPoint(k, u), d)), (k, d)
+
+
+def test_reachable_is_refused_before_the_walk(monkeypatch):
+    # the bound alone passes the cap, so no state is walked
+    monkeypatch.setattr(impression, "letters_with_domain", None)
+    message = r"^at least 167167000 reachable states \(s=XPoint\(k=1, u=0\.5\), "
+    with pytest.raises(ResourceCapExceeded, match=message):
+        forward_reachable(XPoint(1, 0.5), 1000)
+
+
 def test_symbolic_family_seed_and_values():
     fam = symbolic_family(Fraction(1, 2), 2, 2, 2)
     assert len(fam) == 2 * 3 * 3
