@@ -127,7 +127,6 @@ def _run_diam(kmax, samples, window, seed):
         raise ValueError("kmax must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    itinerary.capped(2 * window, f"letters per window (window={window})")
     rng = random.Random(seed)
     witnesses = []
     for k in range(1, kmax + 1):

@@ -141,8 +141,8 @@ def fig_product_and_wedge(depth: int, **_) -> str:
 
 def fig_relation(depth: int, **_) -> str:
     """The relation's letters over intervals 1-7 in chart coordinates, each
-    applied through ``Letter.piece``: the two bends as curves of 2^depth
-    samples, then the up, down and identity letters as strokes."""
+    applied through ``Letter.piece``: the bends, which take exponent steps,
+    as curves of 2^depth samples, then the up, down and identity strokes."""
     samples = _doublings(depth, f"samples (depth={depth})")
     svg = Svg(1000, 1000)
 
@@ -155,8 +155,7 @@ def fig_relation(depth: int, **_) -> str:
     letters = [
         lt for d in range(1, 8) for lt in letters_with_domain(d) if lt.range_index <= 7
     ]
-    # the bends are the letters whose piece is not the identity
-    bends = [lt for lt in letters if lt.piece(0.5) != 0.5]
+    bends = [lt for lt in letters if lt.steps != (0, 0)]
     grid = [i / samples for i in range(samples + 1)]
     for lt, stroke in zip(bends, ("#8c2d19", "#b4741e")):
         svg.polyline([pt(lt, u, lt.piece(u)) for u in grid], stroke=stroke, width=1.6)

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 from . import itinerary
 from .errors import PathNotFound
-from .itinerary import Letter, Word, capped, iter_words, letters_with_domain, word_count
+from .itinerary import Letter, Word, _exponent, capped, iter_words, letters_with_domain
+from .itinerary import word_count
 from .mahavier import (
     ALL_INFINITY,
     MPoint,
@@ -34,10 +35,6 @@ from .xspace import INFINITY, XPoint, embed
 INTERIOR_GUARD = 1e-14
 # exponent candidates a connector tries before the builder gives up
 TRIES = 600
-# exponent steps (doublings, third-roots) of the two bending letters: the
-# square on interval 2 and the cube root on interval 1; every other letter
-# only translates
-_BENDS = {Letter(2, 2): (1, 0), Letter(1, 2): (0, 1)}
 
 
 def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
@@ -54,12 +51,6 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
 
     u0 = s.u
     interior = 0.0 < u0 < 1.0
-
-    def value(m: int, n: int) -> float:
-        if not interior:
-            return u0
-        return u0 ** (2.0**m / 3.0**n)
-
     # sized from below before the walk: every seed reaches intervals
     # k..k+depth, and an interior one every key (2 + j, m, n) with j + m + n
     # <= depth - k: k - 1 steps down, n roots, one up, m squares, j up
@@ -67,7 +58,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
     slack = depth - s.k
     capped(math.comb(slack + 3, 3) if interior and slack >= 0 else depth + 1, what)
     # key: (interval, m, n); endpoint seeds keep a constant coordinate, so
-    # their exponent components stay pinned at zero.
+    # their exponent components stay pinned at zero, where the power is u0
     start = (s.k, 0, 0)
     seen = {start}
     cap = itinerary.ENUMERATION_CAP
@@ -76,7 +67,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
         nxt = []
         for k, m, n in frontier:
             for lt in letters_with_domain(k):
-                dm, dn = _BENDS.get(lt, (0, 0)) if interior else (0, 0)
+                dm, dn = lt.steps if interior else (0, 0)
                 st = (lt.range_index, m + dm, n + dn)
                 if st not in seen:
                     seen.add(st)
@@ -86,7 +77,7 @@ def forward_reachable(s: XPoint, depth: int) -> set[XPoint]:
         frontier = nxt
         if not frontier:
             break
-    return {XPoint(k, value(m, n)) for k, m, n in seen}
+    return {XPoint(k, u0 ** _exponent(m, n)) for k, m, n in seen}
 
 
 class SymbolicPoint(NamedTuple):
@@ -105,7 +96,7 @@ class SymbolicPoint(NamedTuple):
 
     @property
     def value(self) -> float:
-        return float(self.t_base) ** (2.0**self.m / 3.0**self.n)
+        return float(self.t_base) ** _exponent(self.m, self.n)
 
     def xpoint(self) -> XPoint:
         return XPoint(self.k, self.value)
@@ -273,12 +264,11 @@ class OrbitResult(NamedTuple):
 
 
 def orbit_k_cut(eps: float, half_width: int) -> int:
-    """Smallest interval cutoff covered by the all-infinity net point."""
+    """Smallest interval cutoff k >= 2 covered by the all-infinity net point,
+    the first with 2^(2 - 2(k+1) + half_width) <= eps, on integer exponents
+    with no float power: 2^x > eps exactly when x >= frexp(eps)[1]."""
     _check_eps(eps)
-    k = 2
-    while 2.0 ** (2 - 2 * (k + 1) + half_width) > eps:
-        k += 1
-    return k
+    return max(2, (half_width - math.frexp(eps)[1]) // 2 + 1)
 
 
 def build_net(eps: float, cfg: WindowConfig, *, u_cells: int = 12) -> list[MPoint]:
@@ -309,7 +299,7 @@ def _exponents() -> tuple[tuple[float, int, int], ...]:
     reach 2^60 so even a value one ulp below 1 can be pulled back toward the
     middle of the fiber in a single connector."""
     return tuple(
-        sorted((2.0**m / 3.0**n, m, n) for m in range(61) for n in range(61))
+        sorted((_exponent(m, n), m, n) for m in range(61) for n in range(61))
     )
 
 

@@ -2,18 +2,20 @@
 
 The letter table is the one derived encoding of the relation.  A letter
 ``(ell, j)`` names the monotone piece with domain interval ``ell`` and range
-interval ``ell + j - 2`` (j = 1 goes down, j = 2 stays, j = 3 goes up; on
-interval 1 the stay-letter is the cube root, on interval 2 it is the square,
-and every other letter is the identity on the local coordinate); ``(1, 1)``
-is identified with ``(1, 2)``.  ``Letter.piece`` applies a letter to a local
-coordinate, and ``letters_with_domain``/``letters_with_range`` list the
-letters leaving and entering an interval; the relation's sections in
-``relations`` are read off this table, and its literal maps F1-F3 and
-``in_H`` are the oracle it is checked against.  A word is admissible
-when consecutive letters chain range into domain; the set of bi-infinite
-admissible itineraries through a fixed interval is a Cantor set, which the
-address codec below exhibits by embedding finite words into the middle-third
-model.
+interval ``ell + j - 2`` (j = 1 goes down, j = 2 stays, j = 3 goes up);
+``(1, 1)`` is identified with ``(1, 2)``.  Its exponent step
+``Letter.steps`` is (0, 1) for the stay-letter of interval 1, the cube root,
+(1, 0) for that of interval 2, the square, and (0, 0) for every other
+letter, the identity on the local coordinate; along a run whose steps sum to
+(m, n), a coordinate t goes to t^(2^m / 3^n).  ``Letter.piece`` applies a
+letter to a local coordinate, and
+``letters_with_domain``/``letters_with_range`` list the letters leaving and
+entering an interval; the relation's sections in ``relations`` are read off
+this table, and its literal maps F1-F3 and ``in_H`` are the oracle it is
+checked against.  A word is admissible when consecutive letters chain range
+into domain; the set of bi-infinite admissible itineraries through a fixed
+interval is a Cantor set, which the address codec below exhibits by
+embedding finite words into the middle-third model.
 """
 
 from __future__ import annotations
@@ -41,9 +43,14 @@ def capped(size: int, what: str) -> int:
     return size
 
 
+def _exponent(m: int, n: int) -> float:
+    """2^m / 3^n, the exponent of a coordinate after m squares and n roots."""
+    return 2.0**m / 3.0**n
+
+
 class Letter(_Frozen):
-    __slots__ = ("ell", "j", "domain_index", "range_index")
-    # domain_index and range_index are derived: eq and hash read (ell, j)
+    __slots__ = ("ell", "j", "domain_index", "range_index", "steps")
+    # the indices and steps are derived: eq and hash read (ell, j)
     _key = attrgetter("ell", "j")
 
     def __init__(self, ell: int, j: int):
@@ -58,18 +65,20 @@ class Letter(_Frozen):
         _set(self, "j", j)
         _set(self, "domain_index", ell)
         _set(self, "range_index", ell + j - 2)
+        # (doublings, third roots): only the stay-letters of intervals 1, 2 bend
+        bend = j == 2 and ell <= 2
+        _set(self, "steps", ((0, 1) if ell == 1 else (1, 0)) if bend else (0, 0))
 
     def piece(self, u: float, inverse: bool = False) -> float:
-        """The letter's increasing bijection of [0, 1] on the local coordinate.
-
-        The cube root on (1, 2), the square on (2, 2), the identity on every
-        other letter; ``inverse`` applies the inverse map instead.
+        """The letter's increasing bijection of [0, 1] on the local coordinate,
+        read off ``steps``: the cube root for (0, 1), the square for (1, 0),
+        the identity for (0, 0); ``inverse`` applies the inverse map instead.
         """
-        if self.j == 2:
-            if self.ell == 1:
-                return u * u * u if inverse else cbrt(u)
-            if self.ell == 2:
-                return math.sqrt(u) if inverse else u * u
+        doublings, third_roots = self.steps
+        if third_roots:
+            return u * u * u if inverse else cbrt(u)
+        if doublings:
+            return math.sqrt(u) if inverse else u * u
         return u
 
 
@@ -224,7 +233,10 @@ def word_count(k: int, n: int) -> int:
     up to the first length past ``ENUMERATION_CAP``: every interval has two
     or more letters in and out, so a count stopped there is a lower bound
     past the cap.  Cached per cap, so a patched cap counts afresh."""
-    return _word_count(k, n, ENUMERATION_CAP)
+    cap = ENUMERATION_CAP
+    # so a count stops within cap.bit_length() letters; walks that short from
+    # past interval 1 + their length never reach 1, so those count alike
+    return _word_count(min(k, min(n, cap.bit_length()) + 2), n, cap)
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,12 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .errors import RangeError, WindowExhausted
-from .itinerary import Letter, Word, address_value, cantor_address, random_word
+from .itinerary import Letter, Word, address_value, cantor_address, capped, random_word
 from .xspace import INFINITY, XPoint, _chart, _Frozen, _set
 
 
 class WindowConfig(_Frozen):
-    """Half-width N of the coordinate window used by the product metric."""
+    """Half-width N of the product metric's window, whose 2N letters are capped."""
 
     __slots__ = ("half_width",)
     _key = attrgetter("half_width")
@@ -29,6 +29,7 @@ class WindowConfig(_Frozen):
     def __init__(self, half_width: int):
         if half_width < 1:
             raise ValueError("window half-width must be >= 1")
+        capped(2 * half_width, f"letters per window (window={half_width})")
         _set(self, "half_width", half_width)
 
 
@@ -272,17 +273,14 @@ def model_map(p: MPoint, depth: int) -> tuple[float, float]:
 def m_index(p: MPoint) -> int | None:
     """Index j when p lies on the diagonal arc of interval j, else None.
 
-    Diagonal arcs (all coordinates equal) exist exactly over intervals
-    j >= 3, where the stay-letter is the identity.
+    Diagonal arcs (all coordinates equal) exist exactly over the intervals
+    whose stay-letter takes no exponent step, the identity: j >= 3.
     """
     if p.is_all_infinity:
         return None
-    j = p.t0.k
-    if j < 3:
-        return None
-    stay = Letter(j, 2)
-    if all(lt == stay for lt in p.word.letters):
-        return j
+    stay = Letter(p.t0.k, 2)
+    if stay.steps == (0, 0) and all(lt == stay for lt in p.word.letters):
+        return stay.ell
     return None
 
 

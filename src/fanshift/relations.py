@@ -147,7 +147,8 @@ def decomposition_check(
     of the relation must equal {F1(x), F2(x), F3(x)} as a set, and the
     inverse section must equal the set of the three inverse images.
     Duplicates collapse on interval 1, where F1 and F3 agree.  Both sides
-    evaluate the same float expressions, so the sets are compared exactly.
+    evaluate the same float expressions, so the sets are compared exactly,
+    as sets of ``(k, u)`` pairs, which need no point hashed.
     The two endpoints of each interval count among its samples, so
     ``samples_per_interval`` must be at least 2.
     """
@@ -157,6 +158,7 @@ def decomposition_check(
         raise ValueError("samples_per_interval must be >= 2 (the two endpoints)")
     rng = random.Random(seed)
     checked = 0
+    key = XPoint._key  # the (k, u) pair that point equality compares
 
     def sample_points():
         yield INFINITY
@@ -171,7 +173,7 @@ def decomposition_check(
             ("forward", h_image, global_apply),
             ("inverse", h_preimage, global_inverse),
         ):
-            if set(section(x)) != {maps(n, x) for n in GLOBAL_MAPS}:
+            if set(map(key, section(x))) != {key(maps(n, x)) for n in GLOBAL_MAPS}:
                 witness = {"point": {"k": x.k, "u": x.u}, "side": side}
                 return DecompositionReport(False, checked, kmax, witness)
         checked += 1

@@ -394,6 +394,24 @@ def test_diam_weighs_a_window_past_the_float_exponent(tmp_path):
             "exceed cap",
         ),
         (
+            ["verify", "orbit", "--window", "1030"],
+            1,
+            "at least 17065993948800863 net points (eps=0.125, window=1030, "
+            "u_cells=12) exceed cap",
+        ),
+        (
+            ["verify", "orbit", "--window", "1100"],
+            1,
+            "at least 18222542900690558 net points (eps=0.125, window=1100, "
+            "u_cells=12) exceed cap",
+        ),
+        (
+            ["verify", "orbit", "--window", "100000"],
+            1,
+            "at least 1652260990641988208 net points (eps=0.125, window=100000, "
+            "u_cells=12) exceed cap",
+        ),
+        (
             ["verify", "juma", "--depth", "2000"],
             1,
             "at least 7332684 fan legs (kmax_bundle=5, depth=2000) exceed cap",

@@ -250,6 +250,23 @@ def test_orbit_k_cut_levels():
     assert orbit_k_cut(0.5, 1) >= 2
 
 
+def test_orbit_k_cut_matches_the_float_loop():
+    # the cutoff compares integer exponents; below the float overflow it
+    # must agree with the loop over float powers it replaced
+    def float_loop(eps, half_width):
+        k = 2
+        while 2.0 ** (2 - 2 * (k + 1) + half_width) > eps:
+            k += 1
+        return k
+
+    r = random.Random(30)
+    epss = [2.0**-i for i in range(1, 60)] + [r.random() for _ in range(40)]
+    epss += [5e-324, 1e-300, 0.1, 0.125, 0.999, math.nextafter(0.125, 0)]
+    for eps in epss:
+        for half_width in range(201):
+            assert orbit_k_cut(eps, half_width) == float_loop(eps, half_width)
+
+
 def test_orbit_k_cut_rejects_a_bad_eps():
     # -1.0 comes last: a cutoff loop that accepts it never returns
     for eps in (0.0, math.nan, math.inf, -1.0):

@@ -237,6 +237,17 @@ def test_word_count_stops_at_the_first_length_past_the_cap(monkeypatch):
     assert word_count(5, 12) == counts[11] == 488865
 
 
+@pytest.mark.parametrize("cap", [100, 10**6])
+def test_far_intervals_share_one_word_count(monkeypatch, cap):
+    # past interval 1 + the letters counted, no walk reaches interval 1, so
+    # word_count reads one cache entry for all those intervals; it must
+    # equal the count walked from the interval itself
+    monkeypatch.setattr(itinerary, "ENUMERATION_CAP", cap)
+    for n in range(30):
+        for k in range(1, 50):
+            assert word_count(k, n) == itinerary._word_count(k, n, cap), (k, n)
+
+
 def test_two_sided_enumeration():
     words = list(iter_words(1, 4, start=-2))
     assert len(words) == 25
@@ -552,3 +563,29 @@ def test_address_value_examples():
     assert address_value("02") == 2 / 9
     with pytest.raises(ValueError):
         address_value("1")
+
+
+# samples with no exact cube or square among them, plus both endpoints
+_SAMPLED_U = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_exponent_steps_name_each_letter_piece(d):
+    # steps == (0, 0) exactly when the piece is the identity on sampled u;
+    # (0, 1) is the cube root and (1, 0) the square, forward and inverse
+    for lt in letters_with_domain(d):
+        forward = [lt.piece(u) for u in _SAMPLED_U]
+        inverse = [lt.piece(u, inverse=True) for u in _SAMPLED_U]
+        identity = forward == list(_SAMPLED_U) == inverse
+        assert (lt.steps == (0, 0)) == identity, lt
+        if lt.steps == (0, 1):
+            assert forward == pytest.approx([u ** (1 / 3) for u in _SAMPLED_U])
+            assert inverse == pytest.approx([u**3 for u in _SAMPLED_U])
+        elif lt.steps == (1, 0):
+            assert forward == pytest.approx([u**2 for u in _SAMPLED_U])
+            assert inverse == pytest.approx([u**0.5 for u in _SAMPLED_U])
+        else:
+            assert lt.steps == (0, 0), lt
+    # and the converse: only the stay-letters of intervals 1 and 2 bend
+    bends = {lt: lt.steps for lt in letters_with_domain(d) if lt.steps != (0, 0)}
+    assert bends == {1: {Letter(1, 2): (0, 1)}, 2: {Letter(2, 2): (1, 0)}}.get(d, {})

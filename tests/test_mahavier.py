@@ -392,6 +392,17 @@ def test_m_index_detection():
         diagonal_point(2, 0.5)
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_m_index_is_none_on_the_bending_intervals(j):
+    # all coordinates of a run of the stay-letter stay on interval j, but
+    # there the stay-letter bends, so the point is on no diagonal arc
+    stay = Letter(j, 2)
+    assert stay.steps != (0, 0)
+    p = MPoint(Word((stay,) * 6, -3), XPoint(j, 0.5))
+    assert m_index(p) is None
+    assert m_index(MPoint(Word((Letter(3, 2),) * 6, -3), XPoint(3, 0.5))) == 3
+
+
 def test_height_is_model_second_coordinate():
     p = diagonal_point(3, 0.5)
     assert height(p) == 0.5 * fiber_length(3)
