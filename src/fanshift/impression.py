@@ -102,11 +102,12 @@ class SymbolicPoint(NamedTuple):
         return XPoint(self.k, self.value)
 
 
-def _navigate(a: int, b: int) -> list[Letter]:
+@lru_cache(maxsize=None)
+def _navigate(a: int, b: int) -> tuple[Letter, ...]:
     """Up/down letters from the letter table, moving the interval from a to b."""
     if b > a:
-        return [letters_with_domain(i)[-1] for i in range(a, b)]
-    return [letters_with_domain(i)[0] for i in range(a, b, -1)]
+        return tuple(letters_with_domain(i)[-1] for i in range(a, b))
+    return tuple(letters_with_domain(i)[0] for i in range(a, b, -1))
 
 
 def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
@@ -116,14 +117,9 @@ def witness_path(m: int, n: int, k: int) -> tuple[Letter, ...]:
     when m > 0, then translation to the target interval.
     """
     root, up = letters_with_domain(1)
-    path = [root] * n
     if m > 0:
-        path.append(up)
-        path.extend([letters_with_domain(2)[1]] * m)
-        path.extend(_navigate(2, k))
-    else:
-        path.extend(_navigate(1, k))
-    return tuple(path)
+        return (root,) * n + (up,) + (letters_with_domain(2)[1],) * m + _navigate(2, k)
+    return (root,) * n + _navigate(1, k)
 
 
 def symbolic_family(
@@ -426,10 +422,16 @@ def transitive_orbit_builder(
         candidates = _steer_candidates(u_end, v_target, TRIES)
         for tried, (m, n_steps) in enumerate(candidates, 1):
             # an exact endpoint would pin every later coordinate there, so
-            # only a candidate that stays interior is measured
-            run = (*_navigate(k_cur, 1), *witness_path(m, n_steps, d_left), *central)
-            trace = _steps(u_end, run, inverse=False)
-            if 0.0 < trace[-1] < 1.0 and hit(oi, run, trace[-1 - n]):
+            # only a candidate that stays interior is measured; every piece
+            # fixes 0 and 1, so one whose roots end there is dropped unwalked
+            path = witness_path(m, n_steps, d_left)
+            head = _navigate(k_cur, 1) + path[:n_steps]
+            u = _steps(u_end, head, inverse=False)[-1]
+            if not 0.0 < u < 1.0:
+                continue
+            tail = path[n_steps:] + central
+            trace = _steps(u, tail, inverse=False)
+            if 0.0 < trace[-1] < 1.0 and hit(oi, head + tail, trace[-1 - n]):
                 u_end = trace[-1]
                 break
         else:

@@ -13,11 +13,12 @@ at most 2^-(N+1).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import RangeError, WindowExhausted
 from .itinerary import Letter, Word, address_value, cantor_address, capped, random_word
-from .xspace import INFINITY, XPoint, _chart, _Frozen, _set
+from .xspace import _CHARTS, INFINITY, XPoint, _Frozen, _set
 
 
 class WindowConfig(_Frozen):
@@ -97,8 +98,16 @@ def coord_range(p: MPoint, lo: int, hi: int) -> list[XPoint]:
     """
     if p.is_all_infinity:
         return [INFINITY] * (hi - lo + 1)
-    ks, us = _local_trace(p, lo, hi)
-    return [XPoint(k, u) for k, u in zip(ks, us)]
+    letters, base = p.word.letters, -p.word.start
+    if lo > hi or base + lo < 0 or base + hi > len(letters):
+        raise IndexError("requested coordinates outside window")
+    first, u0 = min(lo, 0), p.t0.u
+    trace = _steps(u0, letters[base + first : base], inverse=True)[::-1]
+    trace += _steps(u0, letters[base : base + hi], inverse=False)[1:]
+    ks = [lt.domain_index for lt in letters[base + lo : base + hi + 1]]
+    if len(ks) == hi - lo:  # the coordinate past the last letter is in its range
+        ks.append(letters[-1].range_index)
+    return [XPoint(k, u) for k, u in zip(ks, trace[lo - first : hi - first + 1])]
 
 
 def _steps(u: float, run, *, inverse: bool) -> list[float]:
@@ -111,27 +120,9 @@ def _steps(u: float, run, *, inverse: bool) -> list[float]:
     return out
 
 
-def _local_trace(p: MPoint, lo: int, hi: int) -> tuple[list[int], list[float]]:
-    """Interval indices, read off the letters, and local coordinates lo..hi
-    of a finite-window point, from one walk outward from the base: forward
-    through positions 0..hi-1 and backward through -1..lo."""
-    # the word's fields are read directly: this runs once per window measured
-    letters, base = p.word.letters, -p.word.start
-    if lo > hi or base + lo < 0 or base + hi > len(letters):
-        raise IndexError("requested coordinates outside window")
-    first = min(lo, 0)
-    trace = _steps(p.t0.u, letters[base + first : base], inverse=True)
-    trace.reverse()
-    trace += _steps(p.t0.u, letters[base : base + hi], inverse=False)[1:]
-    ks = [lt.domain_index for lt in letters[base + lo : base + hi + 1]]
-    if len(ks) == hi - lo:  # the coordinate past the last letter is in its range
-        ks.append(letters[-1].range_index)
-    return ks, trace[lo - first : hi - first + 1]
-
-
 def _coords_at(p: MPoint, times) -> dict[int, float]:
     """Local coordinates at the given times, from one walk outward from the
-    base: forward to times >= 0, back to times < 0, as ``_local_trace`` steps."""
+    base: forward to times >= 0, back to times < 0, as ``coord_range`` steps."""
     letters, base, out = p.word.letters, -p.word.start, {}
     for ahead in (True, False):
         u, pos = p.t0.u, 0
@@ -171,15 +162,24 @@ def unshift(p: MPoint) -> MPoint:
 
 def _window_chart(p: MPoint, n: int) -> list[float]:
     """Chart images ``embed(coords(p, j))`` of coordinates -n..n, computed
-    on floats: the local trace goes through the chart without building an
-    ``XPoint``."""
+    on floats from one walk each way out of the base through the window's
+    2n letters, through the chart constants ``xspace._CHARTS``."""
     if p.word is None:
         return [1.0] * (2 * n + 1)
-    ks, us = _local_trace(p, -n, n)
-    for u in us:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"local coordinate {u!r} outside [0, 1]")
-    return list(map(_chart, ks, us))
+    base, u = -p.word.start, p.t0.u
+    run = p.word.letters[base - n : base + n]
+    if base < n or len(run) < 2 * n:
+        raise IndexError("requested coordinates outside window")
+    us = _steps(u, run[:n], inverse=True)[::-1] + _steps(u, run[n:], inverse=False)[1:]
+    if not (0.0 <= min(us) and max(us) <= 1.0):
+        raise ValueError(f"a local coordinate of {us!r} lies outside [0, 1]")
+    out = []
+    for lt, v in zip(run, us):
+        low, scale = _CHARTS[lt.domain_index]
+        out.append(low + v * scale)
+    low, scale = _CHARTS[run[-1].range_index]
+    out.append(low + us[-1] * scale)
+    return out
 
 
 def _run_window(run: tuple[Letter, ...], u: float) -> MPoint:
@@ -193,19 +193,25 @@ def _run_window(run: tuple[Letter, ...], u: float) -> MPoint:
     return p
 
 
+@lru_cache(maxsize=None)
+def _weights(n: int) -> tuple[float, ...]:
+    """The metric's weights 2^-|j| over |j| <= n."""
+    return tuple(2.0 ** -abs(j) for j in range(-n, n + 1))
+
+
 def _window_dists(p: MPoint, q: MPoint, cfg: WindowConfig) -> tuple[float, float]:
     """Two-sided and forward (j >= 0) maxima of the weighted gaps
     dist(p_j, q_j) / 2^|j| over |j| <= N, from one trace of each point.
 
-    The forward walk of ``_local_trace`` does not depend on its left end, so
-    the forward maximum equals the one taken over coordinates 0..N alone.
+    The forward walk of ``_window_chart`` does not depend on its left end,
+    so the forward maximum equals the one taken over coordinates 0..N alone.
     """
     n = cfg.half_width
     gaps = [
-        abs(b - a) * 2.0 ** -abs(j)
-        for j, a, b in zip(range(-n, n + 1), _window_chart(p, n), _window_chart(q, n))
+        abs(b - a) * w
+        for a, b, w in zip(_window_chart(p, n), _window_chart(q, n), _weights(n))
     ]
-    return max(0.0, *gaps), max(0.0, *gaps[n:])
+    return max(gaps), max(gaps[n:])
 
 
 def dist_window(p: MPoint, q: MPoint, cfg: WindowConfig) -> float:
@@ -286,7 +292,7 @@ def m_index(p: MPoint) -> int | None:
 
 def diagonal_point(j: int, u: float, half_width: int = 8) -> MPoint:
     """The point of the diagonal arc over interval j at local coordinate u."""
-    if j < 3:
+    if j < 1 or Letter(j, 2).steps != (0, 0):
         raise ValueError("diagonal arcs exist only over intervals >= 3")
     word = Word((Letter(j, 2),) * (2 * half_width), -half_width)
     return MPoint(word, XPoint(j, u))

@@ -116,9 +116,21 @@ def embed(x: XPoint) -> float:
     return _chart(x.k, x.u)
 
 
+class _Charts(dict):
+    """Chart constants (low end, scale) of interval k, filled on first use."""
+
+    def __missing__(self, k: int) -> tuple[float, float]:
+        self[k] = c = (1.0 - 2.0 ** (2 - 2 * k), 2.0 ** (1 - 2 * k))
+        return c
+
+
+_CHARTS = _Charts()
+
+
 def _chart(k: int, u: float) -> float:
     """The chart on a finite point: local coordinate u of interval k."""
-    return (1.0 - 2.0 ** (2 - 2 * k)) + u * 2.0 ** (1 - 2 * k)
+    low, scale = _CHARTS[k]
+    return low + u * scale
 
 
 def dist(x: XPoint, y: XPoint) -> float:

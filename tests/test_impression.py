@@ -1,4 +1,6 @@
 import bisect
+import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -35,13 +37,14 @@ from fanshift.itinerary import (
 from fanshift.mahavier import (
     MPoint,
     WindowConfig,
-    _local_trace,
+    _steps,
+    _window_chart,
     _window_dists,
     coord_range,
     dist_window,
 )
 from fanshift.relations import GLOBAL_MAPS, global_apply, h_image, in_H
-from fanshift.xspace import INFINITY, XPoint
+from fanshift.xspace import INFINITY, XPoint, embed
 
 
 def apply_path(x: XPoint, path) -> XPoint:
@@ -353,9 +356,14 @@ def test_orbit_consecutive_pairs_admissible(small_orbit):
 
 
 def test_orbit_float_trace_equals_coord_range(small_orbit):
-    p = small_orbit.point
-    trace = _local_trace(p, p.lo, p.hi + 1)[1]
-    assert trace == [x.u for x in coord_range(p, p.lo, p.hi + 1)]
+    # the window metric walks each visit window on floats, with no XPoint;
+    # its chart images are those of the window's coordinates
+    p, n = small_orbit.point, small_orbit.cfg.half_width
+    trace = coord_range(p, p.lo, p.hi + 1)
+    for v in small_orbit.visits:
+        i = v.time - p.lo
+        w = MPoint(Word._trusted(p.word.letters[i - n : i + n], -n), trace[i])
+        assert _window_chart(w, n) == [embed(x) for x in coord_range(w, -n, n)]
 
 
 def test_verify_orbit_rejects_a_moved_base(small_orbit):
@@ -445,13 +453,13 @@ def test_verify_orbit_walks_only_to_the_visit_times(small_orbit):
 
 def _full_trace_verify(result: impression.OrbitResult) -> dict:
     """``verify_orbit`` as it stood when it traced every coordinate of the
-    orbit word with ``_local_trace``; the oracle for the walk that stops
-    at the visit times."""
+    orbit word, as ``coord_range`` walks it; the oracle for the walk that
+    stops at the visit times."""
     eps, cfg = result.eps, result.cfg
     n = cfg.half_width
     p = result.point
     lo, hi = p.lo, p.hi
-    trace = _local_trace(p, lo, hi + 1)[1]
+    trace = [x.u for x in coord_range(p, lo, hi + 1)]
     worst = worst_fwd = 0.0
     seen = set()
     for v in result.visits:
@@ -574,7 +582,7 @@ def test_orbit_measures_each_visit_once(
     assert len(measured) == calls
 
     p, n = res.point, half_width
-    trace = _local_trace(p, p.lo, p.hi + 1)[1]
+    trace = [x.u for x in coord_range(p, p.lo, p.hi + 1)]
     for v in res.visits:
         sl = p.word.slice(v.time - n, v.time + n - 1)
         x = XPoint(p.word.domain_at(v.time), trace[v.time - p.lo])
@@ -600,6 +608,61 @@ def test_orbit_failure_names_the_interior_guard():
     assert "net element 65 (d_left = 1," in msg
     assert "inside INTERIOR_GUARD = 1e-14 ran out" in msg
     assert "raise tries" not in msg
+
+
+# The seed is clamped to height 2^-20 and its two cube roots leave the
+# coordinate near 0.0098; the first candidate toward height 1/3 is
+# (m, n) = (55, 36), whose 36 cube roots end at exactly 1.0.
+_PINNED_NET = [
+    MPoint(Word((Letter(1, 2), Letter(1, 2)), -1), XPoint(1, 0.0)),
+    MPoint(Word((Letter(2, 1), Letter(1, 2)), -1), XPoint(1, 1 / 3)),
+]
+# sha256 of the JSON of the orbit's letters as (ell, j), its visits and the
+# verify_orbit dict, with sorted keys, as built at eps 0.25 and window 1 by
+# the builder that walked every candidate whole, with no stop after the roots
+_PINNED_DIGEST = "b8f6d1efd1b3ed6f4337657cf44dc0818febbb596571cb619a4cf9827177bd0f"
+
+
+def _orbit_digest(result) -> str:
+    blob = json.dumps(
+        [
+            [[lt.ell, lt.j] for lt in result.point.word.letters],
+            [list(v) for v in result.visits],
+            verify_orbit(result),
+        ],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_orbit_drops_a_candidate_whose_roots_end_at_one(monkeypatch):
+    # every piece fixes 1.0, so a candidate whose cube roots end there is
+    # pinned: it counts as a try, and its squares, climb and window are not
+    # walked
+    cfg = WindowConfig(1)
+    central = _PINNED_NET[0].word.letters
+    u_left = _steps(2.0**-20, central[:1], inverse=True)[-1]
+    u_end = _steps(u_left, central, inverse=False)[-1]
+    m, n_steps = next(_steer_candidates(u_end, 1 / 3, 1))
+    assert (m, n_steps) == (55, 36)
+    path = witness_path(m, n_steps, _PINNED_NET[1].word.letters[0].domain_index)
+    assert _steps(u_end, path[:n_steps], inverse=False)[-1] == 1.0
+
+    walked = []
+
+    def counted_path(m, n, k):
+        return tuple(_CountingLetter(lt, walked) for lt in witness_path(m, n, k))
+
+    monkeypatch.setattr(impression, "witness_path", counted_path)
+    monkeypatch.setattr(impression, "TRIES", 1)
+    with pytest.raises(PathNotFound, match="ran out after 1 tries"):
+        transitive_orbit_builder(0.25, cfg, net=_PINNED_NET)
+    # the roots, and none of the path's 55 squares or its climb
+    assert len(walked) == n_steps < len(path)
+
+    monkeypatch.undo()
+    res = transitive_orbit_builder(0.25, cfg, net=_PINNED_NET)
+    assert res.passed and _orbit_digest(res) == _PINNED_DIGEST
 
 
 # ---------------------------------------------------------------------------

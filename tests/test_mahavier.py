@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanshift import mahavier, xspace
 from fanshift.errors import RangeError, WindowExhausted
 from fanshift.itinerary import Letter, Word, random_word
 from fanshift.mahavier import (
@@ -11,6 +12,7 @@ from fanshift.mahavier import (
     MPoint,
     WindowConfig,
     _steps,
+    _window_chart,
     _window_dists,
     coord_range,
     coords,
@@ -30,6 +32,15 @@ from fanshift.relations import in_H
 from fanshift.xspace import INFINITY, XPoint, dist
 
 from _util import rng
+
+
+@pytest.mark.parametrize("j", [-1, 0, 1, 2])
+def test_diagonal_point_refuses_the_intervals_whose_stay_letter_bends(j):
+    # j = 1, 2 bend through their stay-letter; j < 1 names no interval, and
+    # keeps the same message rather than the letter table's
+    msg = "diagonal arcs exist only over intervals >= 3"
+    with pytest.raises(ValueError, match=msg):
+        diagonal_point(j, 0.5)
 
 
 def test_diagonal_point_coords_constant():
@@ -287,6 +298,49 @@ def test_window_dists_match_per_coordinate(seed, kp, kq, n, extra, p_base, q_bas
     if not (p.is_all_infinity and q.is_all_infinity):
         with pytest.raises(IndexError):
             dist_window(p, q, WindowConfig(n + extra + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_window_dists_equal_the_weighted_coordinate_maximum(n):
+    # the chart constants and the weights come from caches filled on first
+    # use; with both emptied before each pair, every interval the windows
+    # reach is measured for the first time, and the metric still equals
+    # max_j dist(p_j, q_j) * 2^-|j|, on the all-infinity point too
+    r = rng(40 + n)
+    points = [random_window_point(r, k, n) for k in (1, 2, 3, 5, 9, 27)]
+    points.append(ALL_INFINITY)
+    cfg = WindowConfig(n)
+    for p in points:
+        for q in points:
+            xspace._CHARTS.clear()
+            mahavier._weights.cache_clear()
+            got = _window_dists(p, q, cfg)
+            # each finite window is exactly the 2n letters the metric reads
+            reached = {
+                lt.domain_index
+                for x in (p, q) if not x.is_all_infinity
+                for lt in x.word.letters
+            }
+            assert reached <= xspace._CHARTS.keys()
+            gaps = [
+                dist(coords(p, j), coords(q, j)) * 2.0 ** -abs(j)
+                for j in range(-n, n + 1)
+            ]
+            assert got == (max(gaps), max(gaps[n:]))
+
+
+def _literal_chart(k: int, u: float) -> float:
+    return (1.0 - 2.0 ** (2 - 2 * k)) + u * 2.0 ** (1 - 2 * k)
+
+
+def test_chart_and_window_chart_equal_the_literal_formula_bit_for_bit():
+    r = rng(41)
+    for k in range(1, 601):
+        for u in (0.0, 1.0, r.random(), r.random()):
+            assert xspace._chart(k, u).hex() == _literal_chart(k, u).hex()
+            p = MPoint(random_word(r, k, left=2, right=2), XPoint(k, u))
+            expected = [_literal_chart(x.k, x.u).hex() for x in coord_range(p, -2, 2)]
+            assert [c.hex() for c in _window_chart(p, 2)] == expected
 
 
 def test_window_dists_reject_a_trace_outside_the_unit_interval():
